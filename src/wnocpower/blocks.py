@@ -10,21 +10,20 @@ turns a requested operating point into DC power in milliwatts:
           DC power (so passive mixers with conversion loss still draw
           the LO-drive and bias power embedded in the surveyed figures).
 
-A figure of merit evaluated outside its physical range (PAE above 100
-percent, efficiency above 1) is a hard error, never a clamp: it means
-the trend was pushed somewhere it cannot describe, and hiding that would
-defeat the extrapolation flagging. Every evaluator returns the flag of
-the underlying fit alongside the power.
+A figure of merit evaluated outside its physical range (the survey
+module's table) is a hard error, never a clamp: it means the trend was
+pushed somewhere it cannot describe, and hiding that would defeat the
+extrapolation flagging. Every evaluator returns the flag of the
+underlying fit alongside the power.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import ClassVar
 
-from .regression import ExpFitModel, evaluate_fit
-from .survey import BlockKind
+from .regression import ExpFitModel, _evaluate
+from .survey import BlockKind, _check_metric
 from .units import FrequencyGhz, PowerDbm, PowerMilliwatt, dbm_to_mw
 
 
@@ -52,6 +51,31 @@ class MixerModel:
     kind: ClassVar[BlockKind] = BlockKind.MIXER
 
 
+def _dc_mw(kind: BlockKind, fit: ExpFitModel, f: float, numerator_mw: float,
+           scale: float = 1.0) -> tuple[float, bool]:
+    """numerator_mw / (scale * FoM(f)) in mW and the fit's extrapolation flag at f GHz.
+
+    Raises if FoM(f) is unphysical. The PA's scale is 0.01: PAE is in percent."""
+    fom, extrapolated = _evaluate(fit, f)
+    _check_metric(kind, fom, f)
+    return numerator_mw / (scale * fom), extrapolated
+
+
+def _pa_numerator(p_in: PowerDbm, p_out: PowerDbm) -> float:
+    """Added RF power in mW; the output must exceed the input."""
+    if p_out.value <= p_in.value:
+        raise ValueError(
+            f"PA output must exceed input (got {p_out.value} dBm out, "
+            f"{p_in.value} dBm in); omit the PA stage for zero gain"
+        )
+    return dbm_to_mw(p_out).value - dbm_to_mw(p_in).value
+
+
+def _mixer_numerator(p_if_in: PowerDbm, p_rf_out: PowerDbm) -> float:
+    """Linear conversion gain P_RF_out / P_IF_in (a loss when below one)."""
+    return dbm_to_mw(p_rf_out).value / dbm_to_mw(p_if_in).value
+
+
 def pa_dc_power(
     m: PaModel, f: FrequencyGhz, p_in: PowerDbm, p_out: PowerDbm
 ) -> tuple[PowerMilliwatt, bool]:
@@ -62,19 +86,8 @@ def pa_dc_power(
     (0, 100] percent (100 is the ideal-efficiency floor where
     P_DC = P_out - P_in exactly).
     """
-    if p_out.value <= p_in.value:
-        raise ValueError(
-            f"PA output must exceed input (got {p_out.value} dBm out, "
-            f"{p_in.value} dBm in); omit the PA stage for zero gain"
-        )
-    pae, extrapolated = evaluate_fit(m.pae_fit, f)
-    if not 0.0 < pae <= 100.0 or not math.isfinite(pae):
-        raise ValueError(
-            f"PAE({f.value} GHz) = {pae} % is outside (0, 100]; "
-            "the fit is not physical at this frequency"
-        )
-    delta_mw = dbm_to_mw(p_out).value - dbm_to_mw(p_in).value
-    return PowerMilliwatt(delta_mw / (0.01 * pae)), extrapolated
+    mw, extrapolated = _dc_mw(m.kind, m.pae_fit, f.value, _pa_numerator(p_in, p_out), 0.01)
+    return PowerMilliwatt(mw), extrapolated
 
 
 def osc_dc_power(
@@ -85,13 +98,8 @@ def osc_dc_power(
     The DC-to-RF efficiency must land in (0, 1], so the result is never
     below the delivered RF power.
     """
-    eff, extrapolated = evaluate_fit(m.eff_fit, f)
-    if not 0.0 < eff <= 1.0 or not math.isfinite(eff):
-        raise ValueError(
-            f"oscillator efficiency({f.value} GHz) = {eff} is outside (0, 1]; "
-            "the fit is not physical at this frequency"
-        )
-    return PowerMilliwatt(dbm_to_mw(p_rf).value / eff), extrapolated
+    mw, extrapolated = _dc_mw(m.kind, m.eff_fit, f.value, dbm_to_mw(p_rf).value)
+    return PowerMilliwatt(mw), extrapolated
 
 
 def mixer_dc_power(
@@ -103,13 +111,8 @@ def mixer_dc_power(
     below one) divided by the gain-per-mW figure of merit gives the DC
     draw.
     """
-    fom, extrapolated = evaluate_fit(m.fom_fit, f)
-    if fom <= 0.0 or not math.isfinite(fom):
-        raise ValueError(
-            f"mixer figure of merit({f.value} GHz) = {fom} 1/mW must be > 0"
-        )
-    cg_linear = dbm_to_mw(p_rf_out).value / dbm_to_mw(p_if_in).value
-    return PowerMilliwatt(cg_linear / fom), extrapolated
+    mw, extrapolated = _dc_mw(m.kind, m.fom_fit, f.value, _mixer_numerator(p_if_in, p_rf_out))
+    return PowerMilliwatt(mw), extrapolated
 
 
 def conversion_gain_db(p_if_in: PowerDbm, p_rf_out: PowerDbm) -> float:

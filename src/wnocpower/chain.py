@@ -19,9 +19,10 @@ import io
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
-from .blocks import MixerModel, OscModel, PaModel, mixer_dc_power, osc_dc_power, pa_dc_power
+from .blocks import (MixerModel, OscModel, PaModel, _dc_mw, _mixer_numerator, _pa_numerator,
+                     mixer_dc_power, osc_dc_power, pa_dc_power)
 from .survey import BlockKind
-from .units import FrequencyGhz, PowerDbm, PowerMilliwatt
+from .units import FrequencyGhz, PowerDbm, PowerMilliwatt, dbm_to_mw
 
 
 class NoAdmissiblePointError(ValueError):
@@ -68,19 +69,21 @@ class PowerBreakdown:
     config: ChainConfig
 
     @property
+    def per_block(self) -> tuple[tuple[BlockKind, PowerMilliwatt, float, bool], ...]:
+        """(kind, DC power, share, extrapolated) of each block: PA, oscillator, mixer."""
+        return (
+            (BlockKind.PA, self.pa_mw, self.pa_fraction, self.pa_extrapolated),
+            (BlockKind.OSCILLATOR, self.osc_mw, self.osc_fraction, self.osc_extrapolated),
+            (BlockKind.MIXER, self.mixer_mw, self.mixer_fraction, self.mixer_extrapolated),
+        )
+
+    @property
     def fractions(self) -> tuple[float, float, float]:
         return (self.pa_fraction, self.osc_fraction, self.mixer_fraction)
 
     @property
     def extrapolated_blocks(self) -> tuple[BlockKind, ...]:
-        flagged = []
-        if self.pa_extrapolated:
-            flagged.append(BlockKind.PA)
-        if self.osc_extrapolated:
-            flagged.append(BlockKind.OSCILLATOR)
-        if self.mixer_extrapolated:
-            flagged.append(BlockKind.MIXER)
-        return tuple(flagged)
+        return tuple(kind for kind, _, _, flagged in self.per_block if flagged)
 
     @property
     def any_extrapolated(self) -> bool:
@@ -105,26 +108,39 @@ class SweepResult:
         return iter(self.entries)
 
 
-def chain_breakdown(
-    pa: PaModel | None,
-    osc: OscModel,
-    mix: MixerModel,
-    cfg: ChainConfig,
-) -> PowerBreakdown:
-    """Evaluate the full chain at one operating point.
+def frequency_grid(lo: float, hi: float, n: int) -> Iterator[float]:
+    """``n`` uniformly spaced frequencies from lo to hi GHz, both ends exact."""
+    if lo >= hi:
+        raise ValueError(f"inverted frequency range [{lo}, {hi}] GHz")
+    if n < 2:
+        raise ValueError(f"frequency grid needs >= 2 points (got {n})")
+    step = (hi - lo) / (n - 1)
+    return (hi if i == n - 1 else lo + i * step for i in range(n))
 
-    The PA stage is present exactly when ``cfg.p_pa_out`` is set; in that
-    case a PA model is required. Block evaluation errors propagate.
-    """
-    mixer_mw, mixer_ex = mixer_dc_power(mix, cfg.frequency, cfg.p_if_in, cfg.p_mixer_out)
-    osc_mw, osc_ex = osc_dc_power(osc, cfg.frequency, cfg.p_osc_rf)
-    if cfg.p_pa_out is None:
-        pa_mw, pa_ex = PowerMilliwatt(0.0), False
-    else:
+
+def _kernel(pa: PaModel | None, osc: OscModel, mix: MixerModel, cfg: ChainConfig):
+    """f -> (mW, extrapolated) of the PA, oscillator and mixer at ``cfg``'s levels;
+    the numerators of P_DC = numerator / FoM(f) are computed once, here."""
+    num_osc = dbm_to_mw(cfg.p_osc_rf).value
+    num_mix = _mixer_numerator(cfg.p_if_in, cfg.p_mixer_out)
+    num_pa = None
+    if cfg.p_pa_out is not None:
         if pa is None:
             raise ValueError("config requests a PA stage but no PA model was provided")
-        pa_mw, pa_ex = pa_dc_power(pa, cfg.frequency, cfg.p_mixer_out, cfg.p_pa_out)
+        num_pa = _pa_numerator(cfg.p_mixer_out, cfg.p_pa_out)
 
+    def at(f: float):
+        # Mixer, oscillator, PA: the order in which unphysical fits are reported.
+        mixer = _dc_mw(mix.kind, mix.fom_fit, f, num_mix)
+        osc_part = _dc_mw(osc.kind, osc.eff_fit, f, num_osc)
+        pa_part = (0.0, False) if num_pa is None else _dc_mw(pa.kind, pa.pae_fit, f, num_pa, 0.01)
+        return pa_part, osc_part, mixer
+
+    return at
+
+
+def _breakdown(parts, cfg: ChainConfig) -> PowerBreakdown:
+    (pa_mw, pa_ex), (osc_mw, osc_ex), (mixer_mw, mixer_ex) = parts
     total = pa_mw.value + osc_mw.value + mixer_mw.value
     return PowerBreakdown(
         pa_mw=pa_mw,
@@ -141,6 +157,29 @@ def chain_breakdown(
     )
 
 
+def chain_breakdown(
+    pa: PaModel | None,
+    osc: OscModel,
+    mix: MixerModel,
+    cfg: ChainConfig,
+) -> PowerBreakdown:
+    """Evaluate the full chain at one operating point.
+
+    The PA stage is present exactly when ``cfg.p_pa_out`` is set; in that
+    case a PA model is required. Block evaluation errors propagate. A
+    single point goes through the public block evaluators; sweeps and
+    recommendations use the plain-float kernel over the same arithmetic.
+    """
+    mixer = mixer_dc_power(mix, cfg.frequency, cfg.p_if_in, cfg.p_mixer_out)
+    osc_part = osc_dc_power(osc, cfg.frequency, cfg.p_osc_rf)
+    pa_part = (PowerMilliwatt(0.0), False)
+    if cfg.p_pa_out is not None:
+        if pa is None:
+            raise ValueError("config requests a PA stage but no PA model was provided")
+        pa_part = pa_dc_power(pa, cfg.frequency, cfg.p_mixer_out, cfg.p_pa_out)
+    return _breakdown((pa_part, osc_part, mixer), cfg)
+
+
 def sweep(
     pa: PaModel | None,
     osc: OscModel,
@@ -155,13 +194,12 @@ def sweep(
     """
     if len(frequencies) == 0:
         raise ValueError("sweep needs at least one frequency")
-    values = [f.value for f in frequencies]
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError("sweep frequencies must be strictly increasing")
+    at = _kernel(pa, osc, mix, base_cfg)
     entries = []
     for f in frequencies:
         try:
-            entries.append((f, chain_breakdown(pa, osc, mix, replace(base_cfg, frequency=f))))
+            parts = [(PowerMilliwatt(mw), flagged) for mw, flagged in at(f.value)]
+            entries.append((f, _breakdown(parts, replace(base_cfg, frequency=f))))
         except ValueError as exc:
             raise ValueError(f"sweep failed at {f.value} GHz: {exc}") from None
     return SweepResult(tuple(entries))
@@ -180,30 +218,26 @@ def recommend_frequency(
     """Grid-search the frequency with minimum total DC power in [lo, hi].
 
     Evaluates ``n_grid`` uniformly spaced points (endpoints included).
-    Points where any block must extrapolate are skipped unless
-    ``allow_extrapolation`` is set; ties prefer the lower frequency.
-    Grid search is used instead of a closed form because user-supplied
-    fits need not be monotone.
+    Points where any block must extrapolate are skipped, before their
+    figures of merit are checked, unless ``allow_extrapolation`` is set;
+    ties prefer the lower frequency. Grid search is used instead of a
+    closed form because user-supplied fits need not be monotone.
     """
-    if lo.value >= hi.value:
-        raise ValueError(f"inverted frequency range [{lo.value}, {hi.value}] GHz")
-    if n_grid < 2:
-        raise ValueError(f"grid must have >= 2 points (got {n_grid})")
-    step = (hi.value - lo.value) / (n_grid - 1)
-    best: tuple[FrequencyGhz, PowerBreakdown] | None = None
-    for i in range(n_grid):
-        f = FrequencyGhz(hi.value if i == n_grid - 1 else lo.value + i * step)
-        bd = chain_breakdown(pa, osc, mix, replace(base_cfg, frequency=f))
-        if bd.any_extrapolated and not allow_extrapolation:
-            continue
-        if best is None or bd.total_mw.value < best[1].total_mw.value:
-            best = (f, bd)
+    grid = frequency_grid(lo.value, hi.value, n_grid)
+    at = _kernel(pa, osc, mix, base_cfg)
+    fits = [mix.fom_fit, osc.eff_fit] + ([] if base_cfg.p_pa_out is None else [pa.pae_fit])
+    span_lo = max(fit.valid_lo.value for fit in fits)
+    span_hi = min(fit.valid_hi.value for fit in fits)
+    admissible = (f for f in grid if allow_extrapolation or span_lo <= f <= span_hi)
+    # min keeps the first of equal totals: the lowest such frequency.
+    best = min(admissible, key=lambda f: sum(mw for mw, _ in at(f)), default=None)
     if best is None:
         raise NoAdmissiblePointError(
             f"no grid point in [{lo.value}, {hi.value}] GHz is inside all model "
             "validity ranges; pass allow_extrapolation to search anyway"
         )
-    return best
+    f_best = FrequencyGhz(best)
+    return f_best, chain_breakdown(pa, osc, mix, replace(base_cfg, frequency=f_best))
 
 
 def dominance_report(result: SweepResult) -> list[tuple[FrequencyGhz, BlockKind]]:
@@ -213,19 +247,7 @@ def dominance_report(result: SweepResult) -> list[tuple[FrequencyGhz, BlockKind]
     """
     if len(result) == 0:
         raise ValueError("dominance report needs a non-empty sweep")
-    report = []
-    for f, bd in result:
-        shares = (
-            (BlockKind.PA, bd.pa_fraction),
-            (BlockKind.OSCILLATOR, bd.osc_fraction),
-            (BlockKind.MIXER, bd.mixer_fraction),
-        )
-        dominant = shares[0]
-        for cand in shares[1:]:
-            if cand[1] > dominant[1]:
-                dominant = cand
-        report.append((f, dominant[0]))
-    return report
+    return [(f, max(bd.per_block, key=lambda block: block[2])[0]) for f, bd in result]
 
 
 # --- serialization --------------------------------------------------------
@@ -243,19 +265,18 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
+def _columns(bd: PowerBreakdown) -> tuple[list[float], list[str]]:
+    """The values of the CSV columns pa_mw to mixer_frac, and the extrapolated blocks."""
+    blocks = bd.per_block
+    values = ([mw.value for _, mw, _, _ in blocks] + [bd.total_mw.value]
+              + [share for _, _, share, _ in blocks])
+    return values, [kind.token for kind, _, _, flagged in blocks if flagged]
+
+
 def breakdown_csv_row(bd: PowerBreakdown) -> list[str]:
     """One plot-ready CSV row; floats in shortest round-trip form."""
-    return [
-        repr(bd.config.frequency.value),
-        repr(bd.pa_mw.value),
-        repr(bd.osc_mw.value),
-        repr(bd.mixer_mw.value),
-        repr(bd.total_mw.value),
-        repr(bd.pa_fraction),
-        repr(bd.osc_fraction),
-        repr(bd.mixer_fraction),
-        ";".join(kind.token for kind in bd.extrapolated_blocks),
-    ]
+    values, extrapolated = _columns(bd)
+    return [repr(bd.config.frequency.value), *map(repr, values), ";".join(extrapolated)]
 
 
 def breakdowns_to_csv(breakdowns: Sequence[PowerBreakdown]) -> str:
@@ -268,13 +289,10 @@ def breakdowns_to_csv(breakdowns: Sequence[PowerBreakdown]) -> str:
     return out.getvalue()
 
 
-def sweep_to_csv(result: SweepResult) -> str:
-    return breakdowns_to_csv([bd for _, bd in result])
-
-
 def breakdown_to_dict(bd: PowerBreakdown) -> dict:
     """JSON-ready document mirroring the CSV columns plus the config echo."""
     cfg = bd.config
+    values, extrapolated = _columns(bd)
     return {
         "config": {
             "frequency_ghz": cfg.frequency.value,
@@ -283,12 +301,6 @@ def breakdown_to_dict(bd: PowerBreakdown) -> dict:
             "p_pa_out_dbm": None if cfg.p_pa_out is None else cfg.p_pa_out.value,
             "p_osc_rf_dbm": cfg.p_osc_rf.value,
         },
-        "pa_mw": bd.pa_mw.value,
-        "osc_mw": bd.osc_mw.value,
-        "mixer_mw": bd.mixer_mw.value,
-        "total_mw": bd.total_mw.value,
-        "pa_frac": bd.pa_fraction,
-        "osc_frac": bd.osc_fraction,
-        "mixer_frac": bd.mixer_fraction,
-        "extrapolated_blocks": [kind.token for kind in bd.extrapolated_blocks],
+        **dict(zip(SWEEP_CSV_COLUMNS[1:-1], values)),
+        "extrapolated_blocks": extrapolated,
     }

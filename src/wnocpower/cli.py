@@ -18,7 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Sequence
@@ -32,12 +32,14 @@ from .chain import (
     breakdown_to_dict,
     breakdowns_to_csv,
     chain_breakdown,
+    frequency_grid,
     recommend_frequency,
     sweep,
 )
-from .exampledata import ExampleBundle, default_bundle, validate_bundle
+from .exampledata import bundle_at, default_bundle, validate_bundle
 from .regression import fit_exponential, load_model, save_model
 from .survey import (
+    _METRIC_RANGE,
     BinnedMax,
     BlockKind,
     FrontierStrategy,
@@ -53,7 +55,7 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_EXTRAPOLATION = 3
 
-_METRIC_UNIT = {BlockKind.PA: "%", BlockKind.OSCILLATOR: "(ratio)", BlockKind.MIXER: "1/mW"}
+_BLOCK_LABEL = {BlockKind.PA: "PA", BlockKind.OSCILLATOR: "oscillator", BlockKind.MIXER: "mixer"}
 
 
 class _UsageError(Exception):
@@ -80,15 +82,8 @@ class RunManifest:
     )
 
     def write_for(self, output_path: Path) -> None:
-        doc = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "input_digests": self.input_digests,
-            "tool_version": self.tool_version,
-            "timestamp": self.timestamp,
-        }
-        sidecar = Path(str(output_path) + ".manifest.json")
-        sidecar.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        text = json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
+        Path(str(output_path) + ".manifest.json").write_text(text, encoding="utf-8")
 
 
 def _file_digest(path: Path) -> str:
@@ -138,15 +133,6 @@ def _bounds_spec(text: str) -> tuple[float, float]:
         raise argparse.ArgumentTypeError(f"expected lo:hi with numeric fields (got {text!r})")
 
 
-def _linspace(lo: float, hi: float, n: int) -> list[float]:
-    if n < 2:
-        raise ValueError(f"frequency grid needs >= 2 points (got {n})")
-    if lo >= hi:
-        raise ValueError(f"inverted frequency range [{lo}, {hi}] GHz")
-    step = (hi - lo) / (n - 1)
-    return [hi if i == n - 1 else lo + i * step for i in range(n)]
-
-
 def _strategy_from_args(args: argparse.Namespace) -> FrontierStrategy:
     if args.strategy == "binned-max":
         if args.bins is None:
@@ -157,21 +143,20 @@ def _strategy_from_args(args: argparse.Namespace) -> FrontierStrategy:
     return ParetoUpper()
 
 
-def _load_block_model(path: Path, expected: BlockKind):
+def _load_block_model(path: Path, model_class):
     kind, fit, _digest = load_model(path)
-    if kind is not expected:
+    if kind is not model_class.kind:
         raise ValueError(
             f"{path} holds a {kind.token} model but was passed for the "
-            f"{expected.token} role"
+            f"{model_class.kind.token} role"
         )
-    wrapper = {BlockKind.PA: PaModel, BlockKind.OSCILLATOR: OscModel, BlockKind.MIXER: MixerModel}
-    return wrapper[expected](fit)
+    return model_class(fit)
 
 
 def _load_chain_models(args: argparse.Namespace):
-    pa = _load_block_model(args.pa_model, BlockKind.PA) if args.pa_model else None
-    osc = _load_block_model(args.osc_model, BlockKind.OSCILLATOR)
-    mix = _load_block_model(args.mixer_model, BlockKind.MIXER)
+    pa = _load_block_model(args.pa_model, PaModel) if args.pa_model else None
+    osc = _load_block_model(args.osc_model, OscModel)
+    mix = _load_block_model(args.mixer_model, MixerModel)
     return pa, osc, mix
 
 
@@ -205,14 +190,10 @@ def _print_breakdown(bd: PowerBreakdown) -> None:
         f"  P_IF = {cfg.p_if_in.value:g} dBm, mixer out = {cfg.p_mixer_out.value:g} dBm, "
         f"PA out = {pa_out}, oscillator RF out = {cfg.p_osc_rf.value:g} dBm"
     )
-    rows = [
-        ("PA", bd.pa_mw.value, bd.pa_fraction, bd.pa_extrapolated),
-        ("oscillator", bd.osc_mw.value, bd.osc_fraction, bd.osc_extrapolated),
-        ("mixer", bd.mixer_mw.value, bd.mixer_fraction, bd.mixer_extrapolated),
-    ]
     print(f"  {'block':<12} {'P_DC [mW]':>14} {'share [%]':>11}   extrapolated")
-    for name, mw, frac, ex in rows:
-        print(f"  {name:<12} {mw:>14.6f} {100.0 * frac:>11.2f}   {'yes' if ex else '-'}")
+    for kind, mw, share, ex in bd.per_block:
+        print(f"  {_BLOCK_LABEL[kind]:<12} {mw.value:>14.6f} {100.0 * share:>11.2f}   "
+              f"{'yes' if ex else '-'}")
     print(f"  {'total':<12} {bd.total_mw.value:>14.6f} {100.0:>11.2f}")
 
 
@@ -244,7 +225,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     save_model(args.out, block, model, digest)
     _manifest(args, [args.survey_csv]).write_for(args.out)
 
-    unit = _METRIC_UNIT[block]
+    unit = _METRIC_RANGE[block][2]
     print(f"fitted {block.token} model from {args.survey_csv}")
     print(f"  points fitted    = {model.n_points} of {len(data)} ({strategy.tag} frontier)")
     print(f"  a                = {model.a:.6g} {unit}")
@@ -262,17 +243,15 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
     bd = chain_breakdown(pa, osc, mix, cfg)
     _print_breakdown(bd)
     _warn_extrapolated(bd)
-    if args.out_csv is not None:
-        Path(args.out_csv).write_text(breakdowns_to_csv([bd]), encoding="utf-8")
-        _manifest(args, _model_inputs(args)).write_for(args.out_csv)
-        print(f"wrote {args.out_csv} and {args.out_csv}.manifest.json")
-    if args.out_json is not None:
-        Path(args.out_json).write_text(
-            json.dumps(breakdown_to_dict(bd), indent=2, sort_keys=True) + "\n",
-            encoding="utf-8",
-        )
-        _manifest(args, _model_inputs(args)).write_for(args.out_json)
-        print(f"wrote {args.out_json} and {args.out_json}.manifest.json")
+    outputs = (
+        (args.out_csv, lambda: breakdowns_to_csv([bd])),
+        (args.out_json, lambda: json.dumps(breakdown_to_dict(bd), indent=2, sort_keys=True) + "\n"),
+    )
+    for path, render in outputs:
+        if path is not None:
+            Path(path).write_text(render(), encoding="utf-8")
+            _manifest(args, _model_inputs(args)).write_for(path)
+            print(f"wrote {path} and {path}.manifest.json")
     if args.strict and bd.any_extrapolated:
         return EXIT_EXTRAPOLATION
     return EXIT_OK
@@ -280,22 +259,16 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     pa, osc, mix = _load_chain_models(args)
-    if args.freqs is not None:
-        freqs = args.freqs
-    else:
-        freqs = _linspace(*args.range)
+    freqs = args.freqs if args.freqs is not None else list(frequency_grid(*args.range))
     if args.levels is None and args.p_mixer_out is None:
         raise _UsageError("sweep: either --p-mixer-out or --levels is required")
     levels = args.levels if args.levels is not None else [args.p_mixer_out]
 
     rows: list[PowerBreakdown] = []
-    any_extrapolated = False
     for level in levels:
         base = _chain_config(freqs[0], level, args.p_if, args.p_pa_out, args.p_osc_rf)
         result = sweep(pa, osc, mix, base, [FrequencyGhz(f) for f in freqs])
-        for _f, bd in result:
-            rows.append(bd)
-            any_extrapolated = any_extrapolated or bd.any_extrapolated
+        rows.extend(bd for _f, bd in result)
 
     Path(args.out).write_text(breakdowns_to_csv(rows), encoding="utf-8")
     _manifest(args, _model_inputs(args)).write_for(args.out)
@@ -305,7 +278,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         f"at mixer output level(s) {levels_txt}"
     )
     print(f"wrote {len(rows)} rows to {args.out} and {args.out}.manifest.json")
-    if any_extrapolated:
+    if any(bd.any_extrapolated for bd in rows):
         print("warning: some rows evaluate models outside their fitted range "
               "(see extrapolated_blocks column)", file=sys.stderr)
         if args.strict:
@@ -336,16 +309,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_examples(args: argparse.Namespace) -> int:
-    if args.data_dir is not None:
-        root = Path(args.data_dir)
-        bundle = ExampleBundle(
-            pa_csv=root / "pa_survey.csv",
-            oscillator_csv=root / "oscillator_survey.csv",
-            mixer_csv=root / "mixer_survey.csv",
-            readme=root / "README.txt",
-        )
-    else:
-        bundle = default_bundle()
+    bundle = default_bundle() if args.data_dir is None else bundle_at(Path(args.data_dir))
     report = validate_bundle(bundle)
     for check in report.checks:
         status = "ok " if check.passed else "FAIL"

@@ -46,11 +46,16 @@ class ExampleBundle:
 
 
 def default_bundle() -> ExampleBundle:
+    return bundle_at(EXAMPLES_DIR)
+
+
+def bundle_at(root: Path) -> ExampleBundle:
+    """The bundle's files in directory ``root``."""
     return ExampleBundle(
-        pa_csv=EXAMPLES_DIR / "pa_survey.csv",
-        oscillator_csv=EXAMPLES_DIR / "oscillator_survey.csv",
-        mixer_csv=EXAMPLES_DIR / "mixer_survey.csv",
-        readme=EXAMPLES_DIR / "README.txt",
+        pa_csv=root / "pa_survey.csv",
+        oscillator_csv=root / "oscillator_survey.csv",
+        mixer_csv=root / "mixer_survey.csv",
+        readme=root / "README.txt",
     )
 
 
@@ -130,12 +135,7 @@ def validate_bundle(bundle: ExampleBundle | None = None) -> BundleReport:
         return BundleReport(tuple(checks))
     checks.append(CheckResult("surveys parse and fit", True))
 
-    fits = {
-        BlockKind.PA: pa.pae_fit,
-        BlockKind.OSCILLATOR: osc.eff_fit,
-        BlockKind.MIXER: mix.fom_fit,
-    }
-    for kind, fit in fits.items():
+    for kind, fit in ((pa.kind, pa.pae_fit), (osc.kind, osc.eff_fit), (mix.kind, mix.fom_fit)):
         lo, hi = EXPECTED_SPANS_GHZ[kind]
         span = (fit.valid_lo.value, fit.valid_hi.value)
         checks.append(CheckResult(

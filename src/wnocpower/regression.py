@@ -4,7 +4,8 @@ All three block metrics degrade roughly exponentially with frequency, so
 the single model family is y(f) = a * exp(b * f), fitted by ordinary
 least squares on (f, ln y). The survey sets are small (typically 5 to 15
 best-in-class points), which makes the log-linearized fit both adequate
-and fully reproducible; no nonlinear refinement is applied.
+and fully reproducible; no nonlinear refinement is applied. Its sums are
+exactly rounded (``math.fsum``), so they do not depend on point order.
 
 Goodness of fit is reported in both domains because a log-domain fit can
 look very different against the raw metric values: ``r_squared_log`` is
@@ -21,8 +22,6 @@ import json
 import math
 from dataclasses import dataclass
 from typing import Sequence
-
-import numpy as np
 
 from .survey import BlockKind
 from .units import FrequencyGhz
@@ -61,8 +60,9 @@ class ExpFitModel:
             )
         if self.n_points < 2:
             raise ValueError(f"a fit requires >= 2 points (got {self.n_points})")
-        if self.r_squared_linear > 1.0 or self.r_squared_log > 1.0:
-            raise ValueError("R-squared cannot exceed 1")
+        for r2 in (self.r_squared_linear, self.r_squared_log):
+            if not math.isfinite(r2) or r2 > 1.0:
+                raise ValueError(f"R-squared must be finite and <= 1 (got {r2})")
 
 
 @dataclass(frozen=True)
@@ -87,12 +87,11 @@ def r_squared(observed: Sequence[float], predicted: Sequence[float]) -> float:
     """
     if len(observed) != len(predicted) or len(observed) == 0:
         raise ValueError("observed and predicted must have equal non-zero length")
-    obs = np.asarray(observed, dtype=float)
-    pred = np.asarray(predicted, dtype=float)
-    ss_tot = float(((obs - obs.mean()) ** 2).sum())
+    mean = math.fsum(observed) / len(observed)
+    ss_tot = math.fsum((o - mean) ** 2 for o in observed)
     if ss_tot == 0.0:
         raise ZeroVarianceError("observations have zero variance; R-squared undefined")
-    ss_res = float(((obs - pred) ** 2).sum())
+    ss_res = math.fsum((o - p) ** 2 for o, p in zip(observed, predicted))
     return 1.0 - ss_res / ss_tot
 
 
@@ -108,50 +107,52 @@ def fit_exponential(
 
     Returns the model plus per-point diagnostics.
     """
-    freqs = np.asarray([f.value for f, _ in points], dtype=float)
-    metrics = np.asarray([m for _, m in points], dtype=float)
-    n_distinct = len(np.unique(freqs))
+    freqs = [f.value for f, _ in points]
+    metrics = [float(m) for _, m in points]
+    n_distinct = len(set(freqs))
     if n_distinct < 2:
         raise ValueError(
             f"exponential fit needs >= 2 distinct frequencies (got {n_distinct})"
         )
-    if np.any(metrics <= 0.0) or not np.all(np.isfinite(metrics)):
-        bad = metrics[~(np.isfinite(metrics) & (metrics > 0.0))][0]
-        raise ValueError(f"metrics must be finite and > 0 for a log fit (got {bad})")
+    for m in metrics:
+        if m <= 0.0 or not math.isfinite(m):
+            raise ValueError(f"metrics must be finite and > 0 for a log fit (got {m})")
 
-    log_y = np.log(metrics)
-    df = freqs - freqs.mean()
-    b = float((df * (log_y - log_y.mean())).sum() / (df ** 2).sum())
-    ln_a = float(log_y.mean() - b * freqs.mean())
+    log_y = [math.log(m) for m in metrics]
+    f_mean = math.fsum(freqs) / len(freqs)
+    y_mean = math.fsum(log_y) / len(log_y)
+    b = (math.fsum((f - f_mean) * (y - y_mean) for f, y in zip(freqs, log_y))
+         / math.fsum((f - f_mean) ** 2 for f in freqs))
+    ln_a = y_mean - b * f_mean
     a = math.exp(ln_a)
 
-    log_pred = ln_a + b * freqs
-    pred = np.exp(log_pred)
+    log_pred = [ln_a + b * f for f in freqs]
+    pred = [math.exp(lp) for lp in log_pred]
     # Zero variance here implies the fit reproduces the constant exactly
     # (b and the residuals are then exactly zero), so both R-squared
     # variants degenerate to a perfect score.
     try:
-        r2_log = r_squared(log_y.tolist(), log_pred.tolist())
+        r2_log = r_squared(log_y, log_pred)
     except ZeroVarianceError:
         r2_log = 1.0
     try:
-        r2_lin = r_squared(metrics.tolist(), pred.tolist())
+        r2_lin = r_squared(metrics, pred)
     except ZeroVarianceError:
         r2_lin = 1.0
 
     model = ExpFitModel(
         a=a,
         b=b,
-        valid_lo=FrequencyGhz(float(freqs.min())),
-        valid_hi=FrequencyGhz(float(freqs.max())),
+        valid_lo=FrequencyGhz(min(freqs)),
+        valid_hi=FrequencyGhz(max(freqs)),
         r_squared_linear=r2_lin,
         r_squared_log=r2_log,
         n_points=len(points),
         strategy=strategy,
     )
     diagnostics = FitDiagnostics(
-        residuals_log=tuple((log_y - log_pred).tolist()),
-        predicted=tuple(pred.tolist()),
+        residuals_log=tuple(y - lp for y, lp in zip(log_y, log_pred)),
+        predicted=tuple(pred),
     )
     return model, diagnostics
 
@@ -163,8 +164,13 @@ def evaluate_fit(model: ExpFitModel, f: FrequencyGhz) -> tuple[float, bool]:
     when f lies outside the closed validity range; the value is still
     computed, so out-of-range use is possible but never silent.
     """
-    value = model.a * math.exp(model.b * f.value)
-    extrapolated = f.value < model.valid_lo.value or f.value > model.valid_hi.value
+    return _evaluate(model, f.value)
+
+
+def _evaluate(model: ExpFitModel, f: float) -> tuple[float, bool]:
+    """:func:`evaluate_fit` at a plain frequency in GHz."""
+    value = model.a * math.exp(model.b * f)
+    extrapolated = f < model.valid_lo.value or f > model.valid_hi.value
     return value, extrapolated
 
 
@@ -188,22 +194,26 @@ def model_to_dict(block: BlockKind, model: ExpFitModel, source_digest: str) -> d
 
 
 def model_from_dict(doc: dict) -> tuple[BlockKind, ExpFitModel, str]:
-    try:
-        block = BlockKind.from_token(doc["block"])
-        model = ExpFitModel(
-            a=float(doc["a"]),
-            b=float(doc["b"]),
-            valid_lo=FrequencyGhz(float(doc["valid_lo_ghz"])),
-            valid_hi=FrequencyGhz(float(doc["valid_hi_ghz"])),
-            r_squared_linear=float(doc["r2_linear"]),
-            r_squared_log=float(doc["r2_log"]),
-            n_points=int(doc["n_points"]),
-            strategy=str(doc["strategy"]),
-        )
-        digest = str(doc["source_dataset_digest"])
-    except KeyError as exc:
-        raise ValueError(f"model document is missing field {exc.args[0]!r}") from None
-    return block, model, digest
+    def field(name: str, convert):
+        try:
+            return convert(doc[name])
+        except KeyError:
+            raise ValueError(f"model document is missing field {name!r}") from None
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"model document field {name!r} is invalid: {exc}") from None
+
+    block = field("block", lambda v: BlockKind.from_token(str(v)))
+    model = ExpFitModel(
+        a=field("a", float),
+        b=field("b", float),
+        valid_lo=field("valid_lo_ghz", lambda v: FrequencyGhz(float(v))),
+        valid_hi=field("valid_hi_ghz", lambda v: FrequencyGhz(float(v))),
+        r_squared_linear=field("r2_linear", float),
+        r_squared_log=field("r2_log", float),
+        n_points=field("n_points", int),
+        strategy=field("strategy", str),
+    )
+    return block, model, field("source_dataset_digest", str)
 
 
 def save_model(path, block: BlockKind, model: ExpFitModel, source_digest: str) -> None:

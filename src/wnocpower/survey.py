@@ -4,9 +4,9 @@ A survey is a CSV of fabricated-prototype data points for one front-end
 block kind: power amplifier, oscillator, or mixer. Each row carries an
 operating frequency and the block's figure of merit:
 
-* PA        -- power added efficiency, percent, in (0, 100]
-* OSC       -- DC-to-RF efficiency, dimensionless ratio, in (0, 1]
-* MIXER     -- linear conversion gain per mW of DC power, 1/mW, > 0
+* PA        -- power added efficiency
+* OSC       -- DC-to-RF efficiency
+* MIXER     -- linear conversion gain per mW of DC power
 
 CSV schema (UTF-8, header required, ``#`` lines are comments)::
 
@@ -55,18 +55,20 @@ class BlockKind(enum.Enum):
         raise ValueError(f"unknown block kind {token!r} (expected PA, OSC or MIXER)")
 
 
-# Valid metric range per block kind: (exclusive low, inclusive high, description).
+# Figure of merit per block: (exclusive low, inclusive high, unit, problem outside).
 _METRIC_RANGE = {
-    BlockKind.PA: (0.0, 100.0, "PAE in percent, in (0, 100]"),
-    BlockKind.OSCILLATOR: (0.0, 1.0, "DC-to-RF efficiency ratio, in (0, 1]"),
-    BlockKind.MIXER: (0.0, math.inf, "conversion gain per mW of DC power, > 0"),
+    BlockKind.PA: (0.0, 100.0, "%", "is outside (0, 100]"),
+    BlockKind.OSCILLATOR: (0.0, 1.0, "(ratio)", "is outside (0, 1]"),
+    BlockKind.MIXER: (0.0, math.inf, "1/mW", "must be > 0"),
 }
 
 
-def _check_metric(kind: BlockKind, metric: float) -> None:
-    lo, hi, desc = _METRIC_RANGE[kind]
+def _check_metric(kind: BlockKind, metric: float, fit_ghz: float | None = None) -> None:
+    """Raise unless ``metric``, surveyed or a fit's value at ``fit_ghz``, is physical."""
+    lo, hi, unit, problem = _METRIC_RANGE[kind]
     if not math.isfinite(metric) or metric <= lo or metric > hi:
-        raise ValueError(f"{kind.token} metric must be {desc} (got {metric})")
+        what = "metric" if fit_ghz is None else f"fit at {fit_ghz} GHz"
+        raise ValueError(f"{kind.token} {what} = {metric} {unit} {problem}")
 
 
 @dataclass(frozen=True)

@@ -52,7 +52,13 @@ class FrequencyGhz:
 
 def dbm_to_mw(p: PowerDbm) -> PowerMilliwatt:
     """Convert dBm to linear milliwatts: mW = 10^(dBm / 10)."""
-    return PowerMilliwatt(10.0 ** (p.value / 10.0))
+    try:
+        mw = 10.0 ** (p.value / 10.0)
+    except OverflowError:
+        raise ValueError(f"{p.value} dBm overflows a float in mW") from None
+    if mw == 0.0:
+        raise ValueError(f"{p.value} dBm rounds to 0 mW")
+    return PowerMilliwatt(mw)
 
 
 def mw_to_dbm(p: PowerMilliwatt) -> PowerDbm:

@@ -324,3 +324,14 @@ def test_breakdown_json_document():
     assert doc["extrapolated_blocks"] == []
     bd_no_pa = chain_breakdown(None, osc, mix, cfg(pa_out=None))
     assert breakdown_to_dict(bd_no_pa)["config"]["p_pa_out_dbm"] is None
+
+
+def test_recommend_skips_extrapolated_points_before_checking_them():
+    # the oscillator efficiency exceeds 1 above ~69.3 GHz, far outside the
+    # [10, 50] GHz spans, so those points are skipped, not fatal
+    pa = PaModel(fit(50.0, lo=10.0, hi=50.0))
+    osc = OscModel(fit(0.5, b=0.01, lo=10.0, hi=50.0))
+    mix = MixerModel(fit(0.1, lo=10.0, hi=50.0))
+    f, bd = recommend_frequency(pa, osc, mix, cfg(), FrequencyGhz(10.0), FrequencyGhz(300.0))
+    assert 10.0 <= f.value <= 50.0
+    assert not bd.any_extrapolated

@@ -308,3 +308,30 @@ def test_validate_examples_passes(capsys):
 def test_validate_examples_missing_dir(tmp_path, capsys):
     assert main(["validate-examples", "--data-dir", str(tmp_path)]) == EXIT_DATA
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("levels", [
+    ["--p-mixer-out", "-10", "--p-pa-out", "4000"],  # overflows a float in mW
+    ["--p-mixer-out", "-4000", "--p-osc-rf", "-4000"],  # every draw rounds to 0 mW
+    ["--p-mixer-out", "-10", "--p-if", "-4000"],  # divides by 0 mW
+])
+def test_breakdown_unrepresentable_power_is_data_error(models, capsys, levels):
+    code = main(["breakdown", *model_flags(models), "--freq", "60", *levels])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "dBm" in err
+
+
+def test_cli_import_does_not_load_numpy():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wnocpower
+
+    src = str(Path(wnocpower.__file__).resolve().parent.parent)
+    code = "import sys, wnocpower.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"

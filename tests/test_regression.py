@@ -242,3 +242,19 @@ def test_load_model_rejects_non_json(tmp_path):
     path.write_text("not json at all")
     with pytest.raises(ValueError, match="JSON"):
         load_model(path)
+
+
+def test_model_from_dict_names_field_of_wrong_type():
+    doc = model_to_dict(BlockKind.PA, model_ab(3.0, -0.002), "d")
+    doc["a"] = None
+    with pytest.raises(ValueError, match="'a'"):
+        model_from_dict(doc)
+
+
+def test_load_model_rejects_non_finite_r_squared(tmp_path):
+    doc = model_to_dict(BlockKind.PA, model_ab(3.0, -0.002), "d")
+    doc["r2_log"] = math.nan
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))  # written as the JSON literal NaN
+    with pytest.raises(ValueError, match="R-squared"):
+        load_model(path)

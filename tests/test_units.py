@@ -79,3 +79,9 @@ def test_quantities_compare_within_type_only():
     assert FrequencyGhz(30.0) < FrequencyGhz(60.0)
     with pytest.raises(TypeError):
         PowerDbm(1.0) < FrequencyGhz(2.0)
+
+
+@pytest.mark.parametrize("dbm", [4000.0, -4000.0])
+def test_dbm_to_mw_rejects_unrepresentable_levels(dbm):
+    with pytest.raises(ValueError, match="dBm"):
+        dbm_to_mw(PowerDbm(dbm))
