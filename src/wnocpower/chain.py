@@ -16,12 +16,16 @@ from __future__ import annotations
 
 import csv
 import io
+import sys
 from dataclasses import dataclass, replace
+from itertools import product
+from math import exp, inf
 from typing import Iterator, Sequence
 
-from .blocks import (MixerModel, OscModel, PaModel, _dc_mw, _mixer_numerator, _pa_numerator,
+from .blocks import (MixerModel, OscModel, PaModel, _mixer_numerator, _pa_numerator,
                      mixer_dc_power, osc_dc_power, pa_dc_power)
-from .survey import BlockKind
+from .regression import ExpFitModel
+from .survey import _METRIC_RANGE, BlockKind, _check_metric
 from .units import FrequencyGhz, PowerDbm, PowerMilliwatt, dbm_to_mw
 
 
@@ -52,42 +56,88 @@ class ChainConfig:
             )
 
 
-@dataclass(frozen=True)
-class PowerBreakdown:
-    """Per-block DC power of one chain evaluation, with shares and flags."""
+_ORDER = (BlockKind.PA, BlockKind.OSCILLATOR, BlockKind.MIXER)
+# The extrapolated_blocks cell of every (PA, oscillator, mixer) flag combination.
+_FLAG_TOKENS = {flags: ";".join(kind.token for kind, on in zip(_ORDER, flags) if on)
+                for flags in product((False, True), repeat=3)}
+_TOKEN_FLAGS = {token: flags for flags, token in _FLAG_TOKENS.items()}
 
-    pa_mw: PowerMilliwatt
-    osc_mw: PowerMilliwatt
-    mixer_mw: PowerMilliwatt
-    total_mw: PowerMilliwatt
-    pa_fraction: float
-    osc_fraction: float
-    mixer_fraction: float
-    pa_extrapolated: bool
-    osc_extrapolated: bool
-    mixer_extrapolated: bool
-    config: ChainConfig
+
+@dataclass(frozen=True, slots=True)
+class PowerBreakdown:
+    """Per-block DC power of one chain evaluation, with shares and flags.
+
+    ``row`` is the plot-CSV row (frequency in GHz, PA/oscillator/mixer/total
+    mW, the three shares, the extrapolated-blocks cell) as plain values;
+    ``levels`` holds the config's p_mixer_out, p_if_in, p_pa_out and
+    p_osc_rf. The unit-typed views below are built on access.
+    """
+
+    row: tuple
+    levels: tuple
+
+    @property
+    def pa_mw(self) -> PowerMilliwatt:
+        return PowerMilliwatt(self.row[1])
+
+    @property
+    def osc_mw(self) -> PowerMilliwatt:
+        return PowerMilliwatt(self.row[2])
+
+    @property
+    def mixer_mw(self) -> PowerMilliwatt:
+        return PowerMilliwatt(self.row[3])
+
+    @property
+    def total_mw(self) -> PowerMilliwatt:
+        return PowerMilliwatt(self.row[4])
+
+    @property
+    def pa_fraction(self) -> float:
+        return self.row[5]
+
+    @property
+    def osc_fraction(self) -> float:
+        return self.row[6]
+
+    @property
+    def mixer_fraction(self) -> float:
+        return self.row[7]
+
+    @property
+    def pa_extrapolated(self) -> bool:
+        return _TOKEN_FLAGS[self.row[8]][0]
+
+    @property
+    def osc_extrapolated(self) -> bool:
+        return _TOKEN_FLAGS[self.row[8]][1]
+
+    @property
+    def mixer_extrapolated(self) -> bool:
+        return _TOKEN_FLAGS[self.row[8]][2]
+
+    @property
+    def config(self) -> ChainConfig:
+        return ChainConfig(FrequencyGhz(self.row[0]), *self.levels)
 
     @property
     def per_block(self) -> tuple[tuple[BlockKind, PowerMilliwatt, float, bool], ...]:
         """(kind, DC power, share, extrapolated) of each block: PA, oscillator, mixer."""
-        return (
-            (BlockKind.PA, self.pa_mw, self.pa_fraction, self.pa_extrapolated),
-            (BlockKind.OSCILLATOR, self.osc_mw, self.osc_fraction, self.osc_extrapolated),
-            (BlockKind.MIXER, self.mixer_mw, self.mixer_fraction, self.mixer_extrapolated),
-        )
+        row, flags = self.row, _TOKEN_FLAGS[self.row[8]]
+        return tuple((kind, PowerMilliwatt(row[1 + i]), row[5 + i], flags[i])
+                     for i, kind in enumerate(_ORDER))
 
     @property
     def fractions(self) -> tuple[float, float, float]:
-        return (self.pa_fraction, self.osc_fraction, self.mixer_fraction)
+        return self.row[5:8]
 
     @property
     def extrapolated_blocks(self) -> tuple[BlockKind, ...]:
-        return tuple(kind for kind, _, _, flagged in self.per_block if flagged)
+        return tuple(kind for kind, flagged in zip(_ORDER, _TOKEN_FLAGS[self.row[8]]) if flagged)
 
     @property
     def any_extrapolated(self) -> bool:
-        return self.pa_extrapolated or self.osc_extrapolated or self.mixer_extrapolated
+        return self.row[8] != ""
 
 
 @dataclass(frozen=True)
@@ -118,43 +168,69 @@ def frequency_grid(lo: float, hi: float, n: int) -> Iterator[float]:
     return (hi if i == n - 1 else lo + i * step for i in range(n))
 
 
+def _fit_terms(fit: ExpFitModel, kind: BlockKind) -> tuple[float, ...]:
+    """a, b, validity span and physical range of ``fit``, for the kernel's locals.
+
+    The upper range bound is capped at the largest float, so one chained
+    comparison also rejects inf and NaN."""
+    lo, hi, _unit, _problem = _METRIC_RANGE[kind]
+    return fit.a, fit.b, fit.valid_lo.value, fit.valid_hi.value, lo, min(hi, sys.float_info.max)
+
+
 def _kernel(pa: PaModel | None, osc: OscModel, mix: MixerModel, cfg: ChainConfig):
-    """f -> (mW, extrapolated) of the PA, oscillator and mixer at ``cfg``'s levels;
-    the numerators of P_DC = numerator / FoM(f) are computed once, here."""
+    """f -> the finished CSV row (see PowerBreakdown) at ``cfg``'s levels.
+
+    The numerators of P_DC = numerator / FoM(f) and every fit's terms are
+    read once, here. An unphysical figure of merit raises through
+    ``_check_metric``; a power that overflows to inf is returned as is."""
     num_osc = dbm_to_mw(cfg.p_osc_rf).value
     num_mix = _mixer_numerator(cfg.p_if_in, cfg.p_mixer_out)
-    num_pa = None
-    if cfg.p_pa_out is not None:
+    m_a, m_b, m_lo, m_hi, m_min, m_max = _fit_terms(mix.fom_fit, BlockKind.MIXER)
+    o_a, o_b, o_lo, o_hi, o_min, o_max = _fit_terms(osc.eff_fit, BlockKind.OSCILLATOR)
+    with_pa = cfg.p_pa_out is not None
+    if with_pa:
         if pa is None:
             raise ValueError("config requests a PA stage but no PA model was provided")
         num_pa = _pa_numerator(cfg.p_mixer_out, cfg.p_pa_out)
+        p_a, p_b, p_lo, p_hi, p_min, p_max = _fit_terms(pa.pae_fit, BlockKind.PA)
 
-    def at(f: float):
+    def at(f: float) -> tuple:
         # Mixer, oscillator, PA: the order in which unphysical fits are reported.
-        mixer = _dc_mw(mix.kind, mix.fom_fit, f, num_mix)
-        osc_part = _dc_mw(osc.kind, osc.eff_fit, f, num_osc)
-        pa_part = (0.0, False) if num_pa is None else _dc_mw(pa.kind, pa.pae_fit, f, num_pa, 0.01)
-        return pa_part, osc_part, mixer
+        fom = m_a * exp(m_b * f)
+        if not m_min < fom <= m_max:
+            _check_metric(BlockKind.MIXER, fom, f)
+        mixer_mw = num_mix / fom
+        eff = o_a * exp(o_b * f)
+        if not o_min < eff <= o_max:
+            _check_metric(BlockKind.OSCILLATOR, eff, f)
+        osc_mw = num_osc / eff
+        pa_mw, pa_ex = 0.0, False
+        if with_pa:
+            pae = p_a * exp(p_b * f)
+            if not p_min < pae <= p_max:
+                _check_metric(BlockKind.PA, pae, f)
+            pa_mw, pa_ex = num_pa / (0.01 * pae), f < p_lo or f > p_hi
+        return _row(f, pa_mw, osc_mw, mixer_mw, (pa_ex, f < o_lo or f > o_hi, f < m_lo or f > m_hi))
 
     return at
 
 
-def _breakdown(parts, cfg: ChainConfig) -> PowerBreakdown:
-    (pa_mw, pa_ex), (osc_mw, osc_ex), (mixer_mw, mixer_ex) = parts
-    total = pa_mw.value + osc_mw.value + mixer_mw.value
-    return PowerBreakdown(
-        pa_mw=pa_mw,
-        osc_mw=osc_mw,
-        mixer_mw=mixer_mw,
-        total_mw=PowerMilliwatt(total),
-        pa_fraction=pa_mw.value / total,
-        osc_fraction=osc_mw.value / total,
-        mixer_fraction=mixer_mw.value / total,
-        pa_extrapolated=pa_ex,
-        osc_extrapolated=osc_ex,
-        mixer_extrapolated=mixer_ex,
-        config=cfg,
-    )
+def _row(f: float, pa_mw: float, osc_mw: float, mixer_mw: float, flags: tuple) -> tuple:
+    """The CSV row of one evaluation from its block powers and extrapolation flags."""
+    total = pa_mw + osc_mw + mixer_mw
+    return (f, pa_mw, osc_mw, mixer_mw, total, pa_mw / total, osc_mw / total, mixer_mw / total,
+            _FLAG_TOKENS[flags])
+
+
+def _finite(row: tuple) -> tuple:
+    """``row``, unless a power in it overflowed: every part is >= 0, so the total shows it."""
+    if row[4] == inf:
+        raise ValueError(f"power in mW must be finite and >= 0 (got {row[4]})")
+    return row
+
+
+def _levels(cfg: ChainConfig) -> tuple:
+    return cfg.p_mixer_out, cfg.p_if_in, cfg.p_pa_out, cfg.p_osc_rf
 
 
 def chain_breakdown(
@@ -170,14 +246,16 @@ def chain_breakdown(
     single point goes through the public block evaluators; sweeps and
     recommendations use the plain-float kernel over the same arithmetic.
     """
-    mixer = mixer_dc_power(mix, cfg.frequency, cfg.p_if_in, cfg.p_mixer_out)
-    osc_part = osc_dc_power(osc, cfg.frequency, cfg.p_osc_rf)
-    pa_part = (PowerMilliwatt(0.0), False)
+    mixer, mixer_ex = mixer_dc_power(mix, cfg.frequency, cfg.p_if_in, cfg.p_mixer_out)
+    osc_part, osc_ex = osc_dc_power(osc, cfg.frequency, cfg.p_osc_rf)
+    pa_part, pa_ex = PowerMilliwatt(0.0), False
     if cfg.p_pa_out is not None:
         if pa is None:
             raise ValueError("config requests a PA stage but no PA model was provided")
-        pa_part = pa_dc_power(pa, cfg.frequency, cfg.p_mixer_out, cfg.p_pa_out)
-    return _breakdown((pa_part, osc_part, mixer), cfg)
+        pa_part, pa_ex = pa_dc_power(pa, cfg.frequency, cfg.p_mixer_out, cfg.p_pa_out)
+    row = _row(cfg.frequency.value, pa_part.value, osc_part.value, mixer.value,
+               (pa_ex, osc_ex, mixer_ex))
+    return PowerBreakdown(_finite(row), _levels(cfg))
 
 
 def sweep(
@@ -189,19 +267,20 @@ def sweep(
 ) -> SweepResult:
     """Evaluate the chain on a strictly increasing frequency grid.
 
-    All other config parameters stay fixed. A block failure is reported
-    with the offending frequency.
+    All other config parameters stay fixed. A block failure, or a power
+    that overflows, is reported with the offending frequency.
     """
     if len(frequencies) == 0:
         raise ValueError("sweep needs at least one frequency")
     at = _kernel(pa, osc, mix, base_cfg)
+    levels = _levels(base_cfg)
     entries = []
     for f in frequencies:
         try:
-            parts = [(PowerMilliwatt(mw), flagged) for mw, flagged in at(f.value)]
-            entries.append((f, _breakdown(parts, replace(base_cfg, frequency=f))))
+            row = _finite(at(f.value))
         except ValueError as exc:
             raise ValueError(f"sweep failed at {f.value} GHz: {exc}") from None
+        entries.append((f, PowerBreakdown(row, levels)))
     return SweepResult(tuple(entries))
 
 
@@ -230,7 +309,7 @@ def recommend_frequency(
     span_hi = min(fit.valid_hi.value for fit in fits)
     admissible = (f for f in grid if allow_extrapolation or span_lo <= f <= span_hi)
     # min keeps the first of equal totals: the lowest such frequency.
-    best = min(admissible, key=lambda f: sum(mw for mw, _ in at(f)), default=None)
+    best = min(admissible, key=lambda f: at(f)[4], default=None)
     if best is None:
         raise NoAdmissiblePointError(
             f"no grid point in [{lo.value}, {hi.value}] GHz is inside all model "
@@ -265,18 +344,9 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
-def _columns(bd: PowerBreakdown) -> tuple[list[float], list[str]]:
-    """The values of the CSV columns pa_mw to mixer_frac, and the extrapolated blocks."""
-    blocks = bd.per_block
-    values = ([mw.value for _, mw, _, _ in blocks] + [bd.total_mw.value]
-              + [share for _, _, share, _ in blocks])
-    return values, [kind.token for kind, _, _, flagged in blocks if flagged]
-
-
-def breakdown_csv_row(bd: PowerBreakdown) -> list[str]:
-    """One plot-ready CSV row; floats in shortest round-trip form."""
-    values, extrapolated = _columns(bd)
-    return [repr(bd.config.frequency.value), *map(repr, values), ";".join(extrapolated)]
+def breakdown_csv_row(bd: PowerBreakdown) -> tuple:
+    """One plot-ready CSV row; the csv module writes its floats in shortest round-trip form."""
+    return bd.row
 
 
 def breakdowns_to_csv(breakdowns: Sequence[PowerBreakdown]) -> str:
@@ -284,15 +354,13 @@ def breakdowns_to_csv(breakdowns: Sequence[PowerBreakdown]) -> str:
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_CSV_COLUMNS)
-    for bd in breakdowns:
-        writer.writerow(breakdown_csv_row(bd))
+    writer.writerows(map(breakdown_csv_row, breakdowns))
     return out.getvalue()
 
 
 def breakdown_to_dict(bd: PowerBreakdown) -> dict:
     """JSON-ready document mirroring the CSV columns plus the config echo."""
     cfg = bd.config
-    values, extrapolated = _columns(bd)
     return {
         "config": {
             "frequency_ghz": cfg.frequency.value,
@@ -301,6 +369,6 @@ def breakdown_to_dict(bd: PowerBreakdown) -> dict:
             "p_pa_out_dbm": None if cfg.p_pa_out is None else cfg.p_pa_out.value,
             "p_osc_rf_dbm": cfg.p_osc_rf.value,
         },
-        **dict(zip(SWEEP_CSV_COLUMNS[1:-1], values)),
-        "extrapolated_blocks": extrapolated,
+        **dict(zip(SWEEP_CSV_COLUMNS[1:-1], bd.row[1:8])),
+        "extrapolated_blocks": [kind.token for kind in bd.extrapolated_blocks],
     }

@@ -7,6 +7,8 @@ is accompanied by a ``<file>.manifest.json`` recording the command, its
 resolved parameters, digests of all input files, the tool version, and a
 timestamp, so results stay traceable to their inputs. Apart from that
 timestamp, reruns with identical inputs produce byte-identical outputs.
+Result files and manifests are written atomically (a temporary file
+renamed into place), so a failed run leaves no partial file.
 
 Exit codes are stable: 0 success, 1 usage error, 2 data or validation
 error, 3 extrapolation under --strict or no admissible frequency.
@@ -37,6 +39,7 @@ from .chain import (
     sweep,
 )
 from .exampledata import bundle_at, default_bundle, validate_bundle
+from .fileio import write_text_atomic
 from .regression import fit_exponential, load_model, save_model
 from .survey import (
     _METRIC_RANGE,
@@ -83,7 +86,26 @@ class RunManifest:
 
     def write_for(self, output_path: Path) -> None:
         text = json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-        Path(str(output_path) + ".manifest.json").write_text(text, encoding="utf-8")
+        write_text_atomic(_manifest_path(output_path), text)
+
+
+def _manifest_path(output_path: Path) -> Path:
+    return Path(str(output_path) + ".manifest.json")
+
+
+def _write_result(path: Path, write, manifest: RunManifest) -> None:
+    """Run ``write``, an atomic write of ``path``, then write the manifest beside it.
+
+    A failed ``write`` leaves the old result and its manifest as they
+    were. A failed manifest write removes the old manifest, so a result
+    may lack one but no manifest describes another file.
+    """
+    write()
+    try:
+        manifest.write_for(path)
+    except BaseException:
+        _manifest_path(path).unlink(missing_ok=True)
+        raise
 
 
 def _file_digest(path: Path) -> str:
@@ -222,8 +244,8 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     digest = dataset_digest(data)
     frontier = best_in_class(data, strategy)
     model, _diag = fit_exponential(frontier.points(), strategy=strategy.tag)
-    save_model(args.out, block, model, digest)
-    _manifest(args, [args.survey_csv]).write_for(args.out)
+    _write_result(args.out, lambda: save_model(args.out, block, model, digest),
+                  _manifest(args, [args.survey_csv]))
 
     unit = _METRIC_RANGE[block][2]
     print(f"fitted {block.token} model from {args.survey_csv}")
@@ -249,8 +271,9 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
     )
     for path, render in outputs:
         if path is not None:
-            Path(path).write_text(render(), encoding="utf-8")
-            _manifest(args, _model_inputs(args)).write_for(path)
+            text = render()
+            _write_result(path, lambda: write_text_atomic(path, text),
+                          _manifest(args, _model_inputs(args)))
             print(f"wrote {path} and {path}.manifest.json")
     if args.strict and bd.any_extrapolated:
         return EXIT_EXTRAPOLATION
@@ -264,14 +287,15 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         raise _UsageError("sweep: either --p-mixer-out or --levels is required")
     levels = args.levels if args.levels is not None else [args.p_mixer_out]
 
+    grid = [FrequencyGhz(f) for f in freqs]
     rows: list[PowerBreakdown] = []
     for level in levels:
         base = _chain_config(freqs[0], level, args.p_if, args.p_pa_out, args.p_osc_rf)
-        result = sweep(pa, osc, mix, base, [FrequencyGhz(f) for f in freqs])
-        rows.extend(bd for _f, bd in result)
+        rows.extend(bd for _f, bd in sweep(pa, osc, mix, base, grid))
 
-    Path(args.out).write_text(breakdowns_to_csv(rows), encoding="utf-8")
-    _manifest(args, _model_inputs(args)).write_for(args.out)
+    text = breakdowns_to_csv(rows)
+    _write_result(args.out, lambda: write_text_atomic(args.out, text),
+                  _manifest(args, _model_inputs(args)))
     levels_txt = ", ".join(f"{lv:g} dBm" for lv in levels)
     print(
         f"swept {len(freqs)} frequencies from {freqs[0]:g} to {freqs[-1]:g} GHz "

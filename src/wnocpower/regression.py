@@ -23,6 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+from .fileio import write_text_atomic
 from .survey import BlockKind
 from .units import FrequencyGhz
 
@@ -193,7 +194,27 @@ def model_to_dict(block: BlockKind, model: ExpFitModel, source_digest: str) -> d
     }
 
 
+def _number(value) -> float:
+    """A JSON number as a float; true, false and strings are not numbers."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _count(value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, got {value!r}")
+    return value
+
+
+def _text(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def model_from_dict(doc: dict) -> tuple[BlockKind, ExpFitModel, str]:
+    """Parse a model document; every field must have its JSON type, nothing is coerced."""
     def field(name: str, convert):
         try:
             return convert(doc[name])
@@ -202,26 +223,24 @@ def model_from_dict(doc: dict) -> tuple[BlockKind, ExpFitModel, str]:
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"model document field {name!r} is invalid: {exc}") from None
 
-    block = field("block", lambda v: BlockKind.from_token(str(v)))
+    block = field("block", lambda v: BlockKind.from_token(_text(v)))
     model = ExpFitModel(
-        a=field("a", float),
-        b=field("b", float),
-        valid_lo=field("valid_lo_ghz", lambda v: FrequencyGhz(float(v))),
-        valid_hi=field("valid_hi_ghz", lambda v: FrequencyGhz(float(v))),
-        r_squared_linear=field("r2_linear", float),
-        r_squared_log=field("r2_log", float),
-        n_points=field("n_points", int),
-        strategy=field("strategy", str),
+        a=field("a", _number),
+        b=field("b", _number),
+        valid_lo=field("valid_lo_ghz", lambda v: FrequencyGhz(_number(v))),
+        valid_hi=field("valid_hi_ghz", lambda v: FrequencyGhz(_number(v))),
+        r_squared_linear=field("r2_linear", _number),
+        r_squared_log=field("r2_log", _number),
+        n_points=field("n_points", _count),
+        strategy=field("strategy", _text),
     )
-    return block, model, field("source_dataset_digest", str)
+    return block, model, field("source_dataset_digest", _text)
 
 
 def save_model(path, block: BlockKind, model: ExpFitModel, source_digest: str) -> None:
-    """Write a model JSON file. Output is byte-deterministic for fixed inputs."""
+    """Write a model JSON file atomically. Output is byte-deterministic for fixed inputs."""
     doc = model_to_dict(block, model, source_digest)
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    write_text_atomic(path, json.dumps(doc, indent=2, sort_keys=True) + "\n")
 
 
 def load_model(path) -> tuple[BlockKind, ExpFitModel, str]:

@@ -335,3 +335,33 @@ def test_recommend_skips_extrapolated_points_before_checking_them():
     f, bd = recommend_frequency(pa, osc, mix, cfg(), FrequencyGhz(10.0), FrequencyGhz(300.0))
     assert 10.0 <= f.value <= 50.0
     assert not bd.any_extrapolated
+
+
+def test_overflowing_power_fails_a_point_but_not_a_search():
+    # 30 dBm out of -5 dBm IF over a FoM of 1e-306·e^{0.05 f} 1/mW overflows
+    # to inf below ~57 GHz and is finite above it
+    _, osc, _ = constant_models()
+    mix = MixerModel(fit(1e-306, b=0.05, lo=10.0, hi=200.0))
+    base = cfg(mixer_out=30.0, pa_out=None)
+    with pytest.raises(ValueError, match="sweep failed at 10.0 GHz: .*finite"):
+        sweep(None, osc, mix, base, [FrequencyGhz(10.0), FrequencyGhz(100.0)])
+    with pytest.raises(ValueError, match="finite"):
+        chain_breakdown(None, osc, mix, cfg(freq=10.0, mixer_out=30.0, pa_out=None))
+    f, bd = recommend_frequency(None, osc, mix, base, FrequencyGhz(10.0), FrequencyGhz(200.0))
+    assert f.value == 200.0 and bd.total_mw.value < float("inf")
+
+
+@pytest.mark.parametrize("pa_out", [None, 0.0, 5.0])
+def test_sweep_csv_is_byte_identical_to_pointwise_breakdowns(bundle_models, pa_out):
+    from dataclasses import replace
+
+    pa, osc, mix = bundle_models
+    freqs = [FrequencyGhz(100.0 + 0.0371 * i) for i in range(2000)]  # 100 .. ~174 GHz
+    swept, pointwise = [], []
+    for level in (-15.0, -10.0, -5.0):
+        base = cfg(mixer_out=level, pa_out=pa_out)
+        swept.extend(bd for _f, bd in sweep(pa, osc, mix, base, freqs))
+        pointwise.extend(chain_breakdown(pa, osc, mix, replace(base, frequency=f)) for f in freqs)
+    text = breakdowns_to_csv(swept)
+    assert ",MIXER\n" in text and text.count("\n") == 1 + len(pointwise)
+    assert text == breakdowns_to_csv(pointwise)

@@ -335,3 +335,37 @@ def test_cli_import_does_not_load_numpy():
     proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_failed_write_leaves_no_partial_file_and_no_stale_manifest(models, tmp_path, capsys,
+                                                                    monkeypatch):
+    import wnocpower.cli as cli
+
+    out = tmp_path / "out" / "sweep.csv"
+    out.parent.mkdir()
+    manifest = tmp_path / "out" / "sweep.csv.manifest.json"
+
+    def run_sweep(level, path):
+        return main(["sweep", *model_flags(models), "--freqs", "30,60",
+                     "--p-mixer-out", level, "--out", str(path)])
+
+    assert run_sweep("-5", out) == EXIT_OK
+    before = out.read_bytes(), manifest.read_bytes()
+
+    # a rendered text that cannot be encoded fails halfway through the write
+    monkeypatch.setattr(cli, "breakdowns_to_csv", lambda rows: "frequency_ghz\n\udc80\n")
+    assert run_sweep("-10", out) == EXIT_DATA
+    assert (out.read_bytes(), manifest.read_bytes()) == before
+    assert run_sweep("-10", out.with_name("fresh.csv")) == EXIT_DATA
+    assert sorted(p.name for p in out.parent.iterdir()) == ["sweep.csv", "sweep.csv.manifest.json"]
+    monkeypatch.undo()
+
+    # a new result whose manifest cannot be written keeps no manifest of the old one
+    def fail(self, path):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli.RunManifest, "write_for", fail)
+    assert run_sweep("-10", out) == EXIT_DATA
+    assert out.read_bytes() != before[0]
+    assert not manifest.exists()
+    capsys.readouterr()

@@ -258,3 +258,25 @@ def test_load_model_rejects_non_finite_r_squared(tmp_path):
     path.write_text(json.dumps(doc))  # written as the JSON literal NaN
     with pytest.raises(ValueError, match="R-squared"):
         load_model(path)
+
+
+def test_model_from_dict_rejects_bool_for_number():
+    doc = model_to_dict(BlockKind.PA, model_ab(3.0, -0.002), "d")
+    doc["a"] = True
+    with pytest.raises(ValueError, match="'a'"):
+        model_from_dict(doc)
+
+
+def test_model_from_dict_rejects_non_integral_point_count():
+    doc = model_to_dict(BlockKind.PA, model_ab(3.0, -0.002), "d")
+    doc["n_points"] = 2.9
+    with pytest.raises(ValueError, match="'n_points'"):
+        model_from_dict(doc)
+
+
+@pytest.mark.parametrize("name", ["strategy", "source_dataset_digest"])
+def test_model_from_dict_rejects_non_string_text_field(name):
+    doc = model_to_dict(BlockKind.PA, model_ab(3.0, -0.002), "d")
+    doc[name] = None
+    with pytest.raises(ValueError, match=repr(name)):
+        model_from_dict(doc)
