@@ -16,16 +16,14 @@ from __future__ import annotations
 
 import csv
 import io
-import sys
 from dataclasses import dataclass, replace
 from itertools import product
-from math import exp, inf
+from math import inf
 from typing import Iterator, Sequence
 
-from .blocks import (MixerModel, OscModel, PaModel, _mixer_numerator, _pa_numerator,
+from .blocks import (MixerModel, OscModel, PaModel, _dc_mw, _mixer_numerator, _pa_numerator,
                      mixer_dc_power, osc_dc_power, pa_dc_power)
-from .regression import ExpFitModel
-from .survey import _METRIC_RANGE, BlockKind, _check_metric
+from .survey import BlockKind
 from .units import FrequencyGhz, PowerDbm, PowerMilliwatt, dbm_to_mw
 
 
@@ -168,49 +166,28 @@ def frequency_grid(lo: float, hi: float, n: int) -> Iterator[float]:
     return (hi if i == n - 1 else lo + i * step for i in range(n))
 
 
-def _fit_terms(fit: ExpFitModel, kind: BlockKind) -> tuple[float, ...]:
-    """a, b, validity span and physical range of ``fit``, for the kernel's locals.
-
-    The upper range bound is capped at the largest float, so one chained
-    comparison also rejects inf and NaN."""
-    lo, hi, _unit, _problem = _METRIC_RANGE[kind]
-    return fit.a, fit.b, fit.valid_lo.value, fit.valid_hi.value, lo, min(hi, sys.float_info.max)
-
-
 def _kernel(pa: PaModel | None, osc: OscModel, mix: MixerModel, cfg: ChainConfig):
     """f -> the finished CSV row (see PowerBreakdown) at ``cfg``'s levels.
 
-    The numerators of P_DC = numerator / FoM(f) and every fit's terms are
-    read once, here. An unphysical figure of merit raises through
-    ``_check_metric``; a power that overflows to inf is returned as is."""
+    The numerators of P_DC = numerator / FoM(f) are worked out once, here.
+    An unphysical figure of merit raises; a power that overflows to inf is
+    returned as is."""
     num_osc = dbm_to_mw(cfg.p_osc_rf).value
     num_mix = _mixer_numerator(cfg.p_if_in, cfg.p_mixer_out)
-    m_a, m_b, m_lo, m_hi, m_min, m_max = _fit_terms(mix.fom_fit, BlockKind.MIXER)
-    o_a, o_b, o_lo, o_hi, o_min, o_max = _fit_terms(osc.eff_fit, BlockKind.OSCILLATOR)
+    mix_fit, osc_fit = mix.fom_fit, osc.eff_fit
     with_pa = cfg.p_pa_out is not None
     if with_pa:
         if pa is None:
             raise ValueError("config requests a PA stage but no PA model was provided")
         num_pa = _pa_numerator(cfg.p_mixer_out, cfg.p_pa_out)
-        p_a, p_b, p_lo, p_hi, p_min, p_max = _fit_terms(pa.pae_fit, BlockKind.PA)
+        pa_fit = pa.pae_fit
 
     def at(f: float) -> tuple:
         # Mixer, oscillator, PA: the order in which unphysical fits are reported.
-        fom = m_a * exp(m_b * f)
-        if not m_min < fom <= m_max:
-            _check_metric(BlockKind.MIXER, fom, f)
-        mixer_mw = num_mix / fom
-        eff = o_a * exp(o_b * f)
-        if not o_min < eff <= o_max:
-            _check_metric(BlockKind.OSCILLATOR, eff, f)
-        osc_mw = num_osc / eff
-        pa_mw, pa_ex = 0.0, False
-        if with_pa:
-            pae = p_a * exp(p_b * f)
-            if not p_min < pae <= p_max:
-                _check_metric(BlockKind.PA, pae, f)
-            pa_mw, pa_ex = num_pa / (0.01 * pae), f < p_lo or f > p_hi
-        return _row(f, pa_mw, osc_mw, mixer_mw, (pa_ex, f < o_lo or f > o_hi, f < m_lo or f > m_hi))
+        mixer_mw, mixer_ex = _dc_mw(BlockKind.MIXER, mix_fit, f, num_mix)
+        osc_mw, osc_ex = _dc_mw(BlockKind.OSCILLATOR, osc_fit, f, num_osc)
+        pa_mw, pa_ex = _dc_mw(BlockKind.PA, pa_fit, f, num_pa, 0.01) if with_pa else (0.0, False)
+        return _row(f, pa_mw, osc_mw, mixer_mw, (pa_ex, osc_ex, mixer_ex))
 
     return at
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import stat
 from pathlib import Path
 
 
@@ -12,15 +13,30 @@ def write_text_atomic(path, text: str) -> None:
     ``os.replace`` swaps the finished file in, so a failure at any step
     leaves the previous file, or none, and no temporary file. There is no
     fsync: this guards against the program failing, not the host.
+
+    A symlink is followed: the temporary file goes beside the file it
+    names, so the link stays and its target gets the text. An existing
+    path that is not a regular file (a device such as /dev/null, a FIFO)
+    is written in place, since a rename would replace the node itself.
     """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
+        try:
+            regular = stat.S_ISREG(os.stat(path).st_mode)
+        except FileNotFoundError:
+            regular = True
+        if not regular:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            return
+        target = Path(os.path.realpath(path))
+        tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            os.replace(tmp, target)
+        finally:
+            tmp.unlink(missing_ok=True)
     except OSError as exc:
         # Name the file the caller asked for, not the temporary one.
         raise OSError(exc.errno, exc.strerror, str(path)) from None
-    finally:
-        tmp.unlink(missing_ok=True)

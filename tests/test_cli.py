@@ -369,3 +369,37 @@ def test_failed_write_leaves_no_partial_file_and_no_stale_manifest(models, tmp_p
     assert out.read_bytes() != before[0]
     assert not manifest.exists()
     capsys.readouterr()
+
+
+def test_sweep_out_through_symlink_keeps_link_and_updates_target(models, tmp_path, capsys):
+    target = tmp_path / "runs" / "sweep-1.csv"
+    target.parent.mkdir()
+    target.write_text("stale\n")
+    link = tmp_path / "latest.csv"
+    link.symlink_to(target)
+
+    assert main(["sweep", *model_flags(models), "--freqs", "30,60",
+                 "--p-mixer-out", "-5", "--out", str(link)]) == EXIT_OK
+    assert link.is_symlink() and link.resolve() == target.resolve()
+    assert target.read_text().startswith("frequency_ghz,")
+    assert sorted(p.name for p in target.parent.iterdir()) == ["sweep-1.csv"]
+    capsys.readouterr()
+
+
+def test_atomic_write_to_a_fifo_writes_in_place(tmp_path):
+    import os
+    import stat
+
+    from wnocpower.fileio import write_text_atomic
+
+    fifo = tmp_path / "out.fifo"
+    os.mkfifo(fifo)
+    # a reader opened first lets the write open the FIFO without blocking
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        write_text_atomic(fifo, "a,b\n")
+        assert stat.S_ISFIFO(os.lstat(fifo).st_mode)
+        assert os.read(reader, 64) == b"a,b\n"
+    finally:
+        os.close(reader)
+    assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
