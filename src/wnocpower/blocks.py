@@ -20,6 +20,7 @@ underlying fit alongside the power.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from typing import ClassVar
 
 from .regression import ExpFitModel, _evaluate
@@ -55,10 +56,12 @@ def _dc_mw(kind: BlockKind, fit: ExpFitModel, f: float, numerator_mw: float,
            scale: float = 1.0) -> tuple[float, bool]:
     """numerator_mw / (scale * FoM(f)) in mW and the fit's extrapolation flag at f GHz.
 
-    Raises if FoM(f) is unphysical. The PA's scale is 0.01: PAE is in percent."""
+    Raises if FoM(f) is unphysical. The PA's scale is 0.01: PAE is in percent.
+    A power past the float range, or over a subnormal PAE whose 1 % is 0, is inf."""
     fom, extrapolated = _evaluate(fit, f)
     _check_metric(kind, fom, f)
-    return numerator_mw / (scale * fom), extrapolated
+    denominator = scale * fom
+    return (numerator_mw / denominator if denominator else inf), extrapolated
 
 
 def _pa_numerator(p_in: PowerDbm, p_out: PowerDbm) -> float:

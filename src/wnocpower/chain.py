@@ -36,8 +36,9 @@ class ChainConfig:
     """One operating point of the TX chain.
 
     ``p_mixer_out`` doubles as the PA input. ``p_pa_out`` absent means
-    the chain has no PA (a zero-gain stage is pointless) and the chain
-    output equals the mixer output.
+    the chain has no PA and the chain output equals the mixer output. A
+    ``p_pa_out`` that does not exceed ``p_mixer_out`` is rejected, zero
+    gain included; the CLI maps an equal ``--p-pa-out`` to no PA instead.
     """
 
     frequency: FrequencyGhz
@@ -321,17 +322,14 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
-def breakdown_csv_row(bd: PowerBreakdown) -> tuple:
-    """One plot-ready CSV row; the csv module writes its floats in shortest round-trip form."""
-    return bd.row
-
-
 def breakdowns_to_csv(breakdowns: Sequence[PowerBreakdown]) -> str:
-    """Plot-ready CSV for any row sequence (a sweep, or stacked sweeps)."""
+    """Plot-ready CSV for any row sequence (a sweep, or stacked sweeps).
+
+    The csv module writes the rows' floats in shortest round-trip form."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_CSV_COLUMNS)
-    writer.writerows(map(breakdown_csv_row, breakdowns))
+    writer.writerows(bd.row for bd in breakdowns)
     return out.getvalue()
 
 

@@ -40,16 +40,14 @@ from .chain import (
 )
 from .exampledata import bundle_at, default_bundle, validate_bundle
 from .fileio import write_text_atomic
-from .regression import fit_exponential, load_model, save_model
+from .regression import fit_survey, load_model, save_model
 from .survey import (
     _METRIC_RANGE,
     BinnedMax,
     BlockKind,
     FrontierStrategy,
     ParetoUpper,
-    best_in_class,
     dataset_digest,
-    load_survey_csv,
 )
 from .units import FrequencyGhz, PowerDbm
 
@@ -234,16 +232,9 @@ def _warn_extrapolated(bd: PowerBreakdown) -> None:
 
 def _cmd_fit(args: argparse.Namespace) -> int:
     strategy = _strategy_from_args(args)
-    data = load_survey_csv(args.survey_csv)
     block = BlockKind.from_token(args.block)
-    if data.kind is not block:
-        raise ValueError(
-            f"{args.survey_csv} holds {data.kind.token} records, but --block {block.token} "
-            "was requested"
-        )
+    data, model = fit_survey(args.survey_csv, block, strategy)
     digest = dataset_digest(data)
-    frontier = best_in_class(data, strategy)
-    model, _diag = fit_exponential(frontier.points(), strategy=strategy.tag)
     _write_result(args.out, lambda: save_model(args.out, block, model, digest),
                   _manifest(args, [args.survey_csv]))
 
@@ -362,7 +353,8 @@ def _add_scenario_flags(p: argparse.ArgumentParser, mixer_out_required: bool = T
     p.add_argument("--p-mixer-out", type=float, required=mixer_out_required,
                    help="mixer output power in dBm (doubles as PA input)")
     p.add_argument("--p-pa-out", type=float, default=None,
-                   help="PA output power in dBm; omit for a chain without a PA")
+                   help="PA output power in dBm; omit it, or set it equal to "
+                        "--p-mixer-out (zero gain), for a chain without a PA")
     p.add_argument("--p-osc-rf", type=float, default=0.0,
                    help="oscillator RF output power in dBm (default 0)")
 

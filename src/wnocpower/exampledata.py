@@ -13,8 +13,8 @@ from pathlib import Path
 
 from .blocks import MixerModel, OscModel, PaModel, osc_dc_power
 from .chain import ChainConfig, chain_breakdown
-from .regression import ExpFitModel, fit_exponential
-from .survey import BlockKind, FrontierStrategy, ParetoUpper, best_in_class, load_survey_csv
+from .regression import fit_survey
+from .survey import BlockKind, FrontierStrategy, ParetoUpper
 from .units import FrequencyGhz, PowerDbm
 
 EXAMPLES_DIR = Path(__file__).parent / "data" / "examples"
@@ -66,19 +66,10 @@ def fit_bundle(
     """Parse, frontier-extract, and fit all three shipped surveys."""
     bundle = bundle or default_bundle()
     strategy = strategy or ParetoUpper()
-
-    def fit_one(path: Path, kind: BlockKind) -> ExpFitModel:
-        data = load_survey_csv(path)
-        if data.kind is not kind:
-            raise ValueError(f"{path} holds {data.kind.token} records, expected {kind.token}")
-        frontier = best_in_class(data, strategy)
-        model, _ = fit_exponential(frontier.points(), strategy=strategy.tag)
-        return model
-
     return (
-        PaModel(fit_one(bundle.pa_csv, BlockKind.PA)),
-        OscModel(fit_one(bundle.oscillator_csv, BlockKind.OSCILLATOR)),
-        MixerModel(fit_one(bundle.mixer_csv, BlockKind.MIXER)),
+        PaModel(fit_survey(bundle.pa_csv, BlockKind.PA, strategy)[1]),
+        OscModel(fit_survey(bundle.oscillator_csv, BlockKind.OSCILLATOR, strategy)[1]),
+        MixerModel(fit_survey(bundle.mixer_csv, BlockKind.MIXER, strategy)[1]),
     )
 
 

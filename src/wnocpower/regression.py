@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .fileio import write_text_atomic
-from .survey import BlockKind
+from .survey import BlockKind, FrontierStrategy, SurveyDataset, best_in_class, load_survey_csv
 from .units import FrequencyGhz
 
 
@@ -96,6 +96,16 @@ def r_squared(observed: Sequence[float], predicted: Sequence[float]) -> float:
     return 1.0 - ss_res / ss_tot
 
 
+def _fit_r2(observed: Sequence[float], predicted: Sequence[float]) -> float:
+    # Zero variance here implies the fit reproduces the constant exactly
+    # (b and the residuals are then exactly zero), so R-squared degenerates
+    # to a perfect score.
+    try:
+        return r_squared(observed, predicted)
+    except ZeroVarianceError:
+        return 1.0
+
+
 def fit_exponential(
     points: Sequence[tuple[FrequencyGhz, float]],
     strategy: str = "unspecified",
@@ -120,26 +130,19 @@ def fit_exponential(
             raise ValueError(f"metrics must be finite and > 0 for a log fit (got {m})")
 
     log_y = [math.log(m) for m in metrics]
-    f_mean = math.fsum(freqs) / len(freqs)
-    y_mean = math.fsum(log_y) / len(log_y)
-    b = (math.fsum((f - f_mean) * (y - y_mean) for f, y in zip(freqs, log_y))
-         / math.fsum((f - f_mean) ** 2 for f in freqs))
-    ln_a = y_mean - b * f_mean
-    a = math.exp(ln_a)
+    try:
+        f_mean = math.fsum(freqs) / len(freqs)
+        y_mean = math.fsum(log_y) / len(log_y)
+        b = (math.fsum((f - f_mean) * (y - y_mean) for f, y in zip(freqs, log_y))
+             / math.fsum((f - f_mean) ** 2 for f in freqs))
+        ln_a = y_mean - b * f_mean
+        a = math.exp(ln_a)
 
-    log_pred = [ln_a + b * f for f in freqs]
-    pred = [math.exp(lp) for lp in log_pred]
-    # Zero variance here implies the fit reproduces the constant exactly
-    # (b and the residuals are then exactly zero), so both R-squared
-    # variants degenerate to a perfect score.
-    try:
-        r2_log = r_squared(log_y, log_pred)
-    except ZeroVarianceError:
-        r2_log = 1.0
-    try:
-        r2_lin = r_squared(metrics, pred)
-    except ZeroVarianceError:
-        r2_lin = 1.0
+        log_pred = [ln_a + b * f for f in freqs]
+        pred = [math.exp(lp) for lp in log_pred]
+        r2_log, r2_lin = _fit_r2(log_y, log_pred), _fit_r2(metrics, pred)
+    except (OverflowError, ZeroDivisionError):
+        raise ValueError("exponential fit of these points leaves the float range") from None
 
     model = ExpFitModel(
         a=a,
@@ -169,10 +172,24 @@ def evaluate_fit(model: ExpFitModel, f: FrequencyGhz) -> tuple[float, bool]:
 
 
 def _evaluate(model: ExpFitModel, f: float) -> tuple[float, bool]:
-    """:func:`evaluate_fit` at a plain frequency in GHz."""
-    value = model.a * math.exp(model.b * f)
+    """:func:`evaluate_fit` at a plain frequency in GHz; a value past the float range is inf."""
+    try:
+        value = model.a * math.exp(model.b * f)
+    except OverflowError:
+        value = math.inf
     extrapolated = f < model.valid_lo.value or f > model.valid_hi.value
     return value, extrapolated
+
+
+def fit_survey(path, kind: BlockKind,
+               strategy: FrontierStrategy) -> tuple[SurveyDataset, ExpFitModel]:
+    """Load the survey CSV at ``path``, check that it holds ``kind`` records,
+    and fit its ``strategy`` frontier. Returns the whole dataset and the model."""
+    data = load_survey_csv(path)
+    if data.kind is not kind:
+        raise ValueError(f"{path} holds {data.kind.token} records, expected {kind.token}")
+    model, _ = fit_exponential(best_in_class(data, strategy).points(), strategy=strategy.tag)
+    return data, model
 
 
 # --- persistence ----------------------------------------------------------

@@ -59,7 +59,7 @@ class BlockKind(enum.Enum):
 _METRIC_RANGE = {
     BlockKind.PA: (0.0, 100.0, "%", "is outside (0, 100]"),
     BlockKind.OSCILLATOR: (0.0, 1.0, "(ratio)", "is outside (0, 1]"),
-    BlockKind.MIXER: (0.0, math.inf, "1/mW", "must be > 0"),
+    BlockKind.MIXER: (0.0, math.inf, "1/mW", "must be > 0 and finite"),
 }
 
 
@@ -145,8 +145,9 @@ class BinnedMax:
     bins: int
 
     def __post_init__(self) -> None:
-        if self.bins < 1:
-            raise ValueError(f"bin count must be >= 1 (got {self.bins})")
+        # Up to 2**53 a bin count is exact as a float and the bin index cannot overflow.
+        if not 1 <= self.bins <= 2**53:
+            raise ValueError(f"bin count must be in [1, 2**53] (got {self.bins})")
 
     @property
     def tag(self) -> str:
@@ -166,44 +167,30 @@ def strategy_from_tag(tag: str) -> FrontierStrategy:
 
 
 def _pareto_upper_indices(records: tuple[SurveyRecord, ...]) -> list[int]:
-    # Sweep from high to low frequency, tracking the best metric seen at
-    # strictly higher frequencies; a record survives only if it beats it.
-    order = sorted(range(len(records)),
-                   key=lambda i: records[i].frequency.value, reverse=True)
+    # High to low frequency, and at one frequency best metric then input order
+    # first: a record is kept iff it beats every metric seen before it.
     keep: list[int] = []
-    best_above = -math.inf
-    pos = 0
-    while pos < len(order):
-        f = records[order[pos]].frequency.value
-        group = []
-        while pos < len(order) and records[order[pos]].frequency.value == f:
-            group.append(order[pos])
-            pos += 1
-        group_max = max(records[i].metric for i in group)
-        if group_max > best_above:
-            # Identical (frequency, metric) ties: first by input order.
-            winner = min(i for i in group if records[i].metric == group_max)
-            keep.append(winner)
-            best_above = group_max
+    best = -math.inf
+    for _, neg_metric, i in sorted((-rec.frequency.value, -rec.metric, i)
+                                   for i, rec in enumerate(records)):
+        if -neg_metric > best:
+            keep.append(i)
+            best = -neg_metric
     return sorted(keep)
 
 
 def _binned_max_indices(records: tuple[SurveyRecord, ...], bins: int) -> list[int]:
+    # With no log span (one frequency, or frequencies too close for log10 to
+    # tell apart) every record falls in bin 0. Ties keep the first record.
     freqs = [rec.frequency.value for rec in records]
-    f_lo, f_hi = min(freqs), max(freqs)
-    if f_lo == f_hi:
-        bin_of = {i: 0 for i in range(len(records))}
-    else:
-        log_span = math.log10(f_hi) - math.log10(f_lo)
-        bin_of = {
-            i: min(bins - 1, int(bins * (math.log10(f) - math.log10(f_lo)) / log_span))
-            for i, f in enumerate(freqs)
-        }
+    log_lo = math.log10(min(freqs))
+    log_span = math.log10(max(freqs)) - log_lo
     best: dict[int, int] = {}
-    for i in range(len(records)):
-        j = best.get(bin_of[i])
+    for i, f in enumerate(freqs):
+        b = min(bins - 1, int(bins * (math.log10(f) - log_lo) / log_span)) if log_span else 0
+        j = best.get(b)
         if j is None or records[i].metric > records[j].metric:
-            best[bin_of[i]] = i
+            best[b] = i
     return sorted(best.values())
 
 
@@ -211,16 +198,15 @@ def best_in_class(data: SurveyDataset, strategy: FrontierStrategy | None = None)
     """Extract the best-in-class subset used for fitting.
 
     Returns a dataset containing a subset of the input records in their
-    original order. Raises on an empty dataset.
+    original order. The default strategy is :class:`ParetoUpper`. Raises
+    on an empty dataset.
     """
     if len(data) == 0:
         raise ValueError("cannot extract a frontier from an empty dataset")
-    if strategy is None:
-        strategy = ParetoUpper()
-    if isinstance(strategy, ParetoUpper):
-        idx = _pareto_upper_indices(data.records)
-    else:
+    if isinstance(strategy, BinnedMax):
         idx = _binned_max_indices(data.records, strategy.bins)
+    else:
+        idx = _pareto_upper_indices(data.records)
     return SurveyDataset(data.kind, tuple(data.records[i] for i in idx))
 
 

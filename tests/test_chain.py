@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -365,3 +366,39 @@ def test_sweep_csv_is_byte_identical_to_pointwise_breakdowns(bundle_models, pa_o
     text = breakdowns_to_csv(swept)
     assert ",MIXER\n" in text and text.count("\n") == 1 + len(pointwise)
     assert text == breakdowns_to_csv(pointwise)
+
+
+def test_overflowing_fit_is_a_range_error_naming_block_and_frequency():
+    # e^{5.0 * 200} is past the float range: the mixer FoM evaluates to inf
+    _, osc, _ = constant_models()
+    mix = MixerModel(fit(1.0, b=5.0))
+    base = cfg(freq=200.0, mixer_out=-5.0, pa_out=None)
+    with pytest.raises(ValueError, match=r"^MIXER fit at 200.0 GHz = inf 1/mW"):
+        chain_breakdown(None, osc, mix, base)
+    with pytest.raises(ValueError, match=r"^sweep failed at 200.0 GHz: MIXER fit at 200.0 GHz"):
+        sweep(None, osc, mix, base, [FrequencyGhz(200.0)])
+
+
+def test_subnormal_pae_draws_infinite_power():
+    # 1 % of a PAE of 1e-322 % rounds to 0: the PA's draw is inf, not a division by zero
+    pa = PaModel(fit(1e-322))
+    _, osc, mix = constant_models()
+    base = cfg(pa_out=0.0)
+    assert 0.01 * pa.pae_fit.a == 0.0
+    with pytest.raises(ValueError, match="must be finite"):
+        chain_breakdown(pa, osc, mix, base)
+    with pytest.raises(ValueError, match="sweep failed at 60.0 GHz: .*must be finite"):
+        sweep(pa, osc, mix, base, [FrequencyGhz(60.0)])
+    with pytest.raises(ValueError, match="must be finite"):
+        recommend_frequency(pa, osc, mix, base, FrequencyGhz(10.0), FrequencyGhz(100.0))
+
+
+def test_recommend_ranks_subnormal_pae_points_last():
+    # PAE = e^{-2.48 f} %: normal at 10 GHz, subnormal with a 1 % that rounds to 0 at 300 GHz
+    pa = PaModel(fit(1.0, b=-2.48))
+    _, osc, mix = constant_models()
+    pae_300 = math.exp(-2.48 * 300.0)
+    assert pae_300 > 0.0 and 0.01 * pae_300 == 0.0
+    f, bd = recommend_frequency(pa, osc, mix, cfg(pa_out=0.0), FrequencyGhz(10.0),
+                                FrequencyGhz(300.0))
+    assert f.value == 10.0 and bd.total_mw.value < float("inf")

@@ -403,3 +403,40 @@ def test_atomic_write_to_a_fifo_writes_in_place(tmp_path):
     finally:
         os.close(reader)
     assert [p.name for p in tmp_path.iterdir()] == ["out.fifo"]
+
+
+def test_fit_block_mismatch_names_both_kinds(tmp_path, capsys):
+    code = main(["fit", str(BUNDLE.oscillator_csv), "--block", "PA", "--out", str(tmp_path / "m.json")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {BUNDLE.oscillator_csv} holds OSC records, expected PA\n"
+
+
+def test_fit_binned_max_of_frequencies_with_equal_log10(tmp_path, capsys):
+    # 100.0 and the next double up share one log10, so both fall in one bin
+    # and the single-point frontier cannot be fitted
+    csv_path = tmp_path / "near.csv"
+    csv_path.write_text("block,frequency_ghz,metric,label\nPA,100.0,20,a\n"
+                        "PA,100.00000000000001,30,b\n")
+    code = main(["fit", str(csv_path), "--block", "PA", "--strategy", "binned-max",
+                 "--bins", "3", "--out", str(tmp_path / "m.json")])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "2 distinct frequencies" in err
+
+
+def test_breakdown_with_overflowing_fit_is_data_error(models, tmp_path, capsys):
+    doc = json.loads(models["MIXER"].read_text())
+    doc["b"] = 5.0
+    mix5 = tmp_path / "mix5.json"
+    mix5.write_text(json.dumps(doc))
+    code = main(["breakdown", "--osc-model", str(models["OSC"]), "--mixer-model", str(mix5),
+                 "--freq", "200", "--p-mixer-out", "-5"])
+    assert code == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: MIXER fit at 200.0 GHz = inf") and len(err.splitlines()) == 1
+
+
+def test_p_pa_out_help_states_the_zero_gain_rule(capsys):
+    with pytest.raises(SystemExit):
+        main(["breakdown", "--help"])
+    assert "equal to --p-mixer-out" in " ".join(capsys.readouterr().out.split())

@@ -1,0 +1,107 @@
+"""The CLI error contract as a property.
+
+Whatever the input files hold, ``main`` returns 0, 1, 2 or 3 and never
+raises; a data error (2) or a refusal (3) prints exactly one line on
+stderr. The inputs are fitted model documents with arbitrary numbers for
+``breakdown`` and survey CSVs, adjacent doubles included, for ``fit``.
+"""
+
+import contextlib
+import io
+import json
+import math
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from wnocpower.cli import main
+from wnocpower.exampledata import default_bundle
+
+BUNDLE = default_bundle()
+SURVEYS = {"PA": BUNDLE.pa_csv, "OSC": BUNDLE.oscillator_csv, "MIXER": BUNDLE.mixer_csv}
+METRIC_MAX = {"PA": 100.0, "OSC": 1.0, "MIXER": math.inf}
+
+
+@pytest.fixture(scope="module")
+def workdir(tmp_path_factory):
+    """A directory holding the bundle's three fitted model documents."""
+    root = tmp_path_factory.mktemp("contract")
+    for kind, survey in SURVEYS.items():
+        assert run(["fit", str(survey), "--block", kind, "--out", str(root / f"{kind}.json")]) == 0
+    return root
+
+
+def run(argv):
+    """``main(argv)``, checked against the contract; returns the exit code."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code in (2, 3):
+        assert len(err.getvalue().splitlines()) == 1, err.getvalue()
+    return code
+
+
+def numbers(typical):
+    """Any float, with extra weight on a typical range and on tiny positives."""
+    return st.one_of(typical, st.floats(min_value=0.0, max_value=1e-300, exclude_min=True),
+                     st.floats())
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    kind=st.sampled_from(sorted(SURVEYS)),
+    a=numbers(st.floats(0.0, 200.0)),
+    b=numbers(st.floats(-3.0, 6.0)),
+    lo=numbers(st.floats(0.0, 400.0)),
+    hi=numbers(st.floats(0.0, 400.0)),
+    freq=numbers(st.floats(0.0, 400.0)),
+    p_pa_out=st.sampled_from([None, "-5", "0", "10"]),
+    strict=st.booleans(),
+)
+def test_breakdown_with_any_model_numbers_keeps_the_contract(workdir, kind, a, b, lo, hi, freq,
+                                                             p_pa_out, strict):
+    doc = json.loads((workdir / f"{kind}.json").read_text())
+    doc.update(a=a, b=b, valid_lo_ghz=lo, valid_hi_ghz=hi)
+    (workdir / "fuzzed.json").write_text(json.dumps(doc))
+    models = {k: workdir / ("fuzzed.json" if k == kind else f"{k}.json") for k in SURVEYS}
+    argv = ["breakdown", "--pa-model", str(models["PA"]), "--osc-model", str(models["OSC"]),
+            "--mixer-model", str(models["MIXER"]), f"--freq={freq!r}", "--p-mixer-out=-5"]
+    if p_pa_out is not None:
+        argv.append(f"--p-pa-out={p_pa_out}")
+    if strict:
+        argv.append("--strict")
+    run(argv)
+
+
+@st.composite
+def surveys(draw):
+    """(kind, CSV text): rows whose frequencies cluster, within a few ulps, around one base."""
+    kind = draw(st.sampled_from(sorted(SURVEYS)))
+    base = draw(numbers(st.floats(0.5, 1000.0)))
+    lines = ["block,frequency_ghz,metric,label"]
+    for i in range(draw(st.integers(1, 6))):
+        f = draw(st.one_of(st.just(base), numbers(st.floats(0.5, 1000.0))))
+        for _ in range(draw(st.integers(0, 2))):
+            f = math.nextafter(f, math.inf)
+        metric = draw(st.one_of(st.floats(0.0, min(METRIC_MAX[kind], 1e6), exclude_min=True),
+                                st.floats(min_value=0.0, max_value=METRIC_MAX[kind],
+                                          exclude_min=True)))
+        lines.append(f"{kind},{f!r},{metric!r},r{i}")
+    return kind, "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    survey=surveys(),
+    strategy=st.sampled_from(["pareto-upper", "binned-max"]),
+    bins=st.one_of(st.integers(1, 8), st.integers(-2, 10**400)),
+)
+def test_fit_of_any_survey_keeps_the_contract(workdir, survey, strategy, bins):
+    kind, text = survey
+    (workdir / "survey.csv").write_text(text)
+    argv = ["fit", str(workdir / "survey.csv"), "--block", kind, "--strategy", strategy,
+            "--out", str(workdir / "fitted.json")]
+    if strategy == "binned-max":
+        argv.append(f"--bins={bins}")
+    run(argv)

@@ -280,3 +280,30 @@ def test_model_from_dict_rejects_non_string_text_field(name):
     doc[name] = None
     with pytest.raises(ValueError, match=repr(name)):
         model_from_dict(doc)
+
+
+def test_evaluating_past_the_float_range_gives_inf():
+    model = ExpFitModel(1.0, 5.0, FrequencyGhz(1.0), FrequencyGhz(10.0), 1.0, 1.0, 2, "t")
+    assert evaluate_fit(model, FrequencyGhz(200.0)) == (math.inf, True)
+
+
+def test_fit_of_adjacent_frequencies_is_a_value_error():
+    # a rate of ~1e14 1/GHz puts ln(a) near 1e16: the fit leaves the float range
+    f2 = math.nextafter(100.0, math.inf)
+    with pytest.raises(ValueError, match="leaves the float range"):
+        fit_exponential(pts([(100.0, 50.0), (f2, 10.0)]))
+
+
+def test_fit_survey_is_load_kind_check_frontier_and_fit(tmp_path):
+    from wnocpower.regression import fit_survey
+    from wnocpower.survey import BinnedMax, best_in_class, load_survey_csv
+
+    path = tmp_path / "s.csv"
+    path.write_text("block,frequency_ghz,metric,label\n"
+                    "PA,10,40,a\nPA,10,30,b\nPA,60,20,c\nPA,200,5,d\nPA,150,4,e\n")
+    strategy = BinnedMax(bins=2)
+    data, model = fit_survey(path, BlockKind.PA, strategy)
+    assert data == load_survey_csv(path)
+    assert model == fit_exponential(best_in_class(data, strategy).points(), "binned-max:2")[0]
+    with pytest.raises(ValueError, match=r"^.*s\.csv holds PA records, expected OSC$"):
+        fit_survey(path, BlockKind.OSCILLATOR, strategy)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -270,3 +271,18 @@ def test_filter_frequency_rejects_inverted_range():
     ds = dataset([(10.0, 1.0)])
     with pytest.raises(ValueError, match="inverted"):
         filter_frequency(ds, FrequencyGhz(50.0), FrequencyGhz(50.0))
+
+
+def test_binned_max_frequencies_with_equal_log10_share_bin_zero():
+    # distinct frequencies whose log10 is the same float: no log span, one bin
+    f2 = math.nextafter(100.0, math.inf)
+    assert f2 != 100.0 and math.log10(f2) == math.log10(100.0)
+    ds = dataset([(100.0, 2.0), (f2, 3.0), (100.0, 3.0)])
+    out = best_in_class(ds, BinnedMax(bins=3))
+    assert [(r.frequency.value, r.metric) for r in out] == [(f2, 3.0)]
+
+
+def test_binned_max_rejects_a_bin_count_past_exact_floats():
+    assert BinnedMax(bins=2**53).bins == 2**53
+    with pytest.raises(ValueError, match="bin count"):
+        BinnedMax(bins=2**53 + 1)
