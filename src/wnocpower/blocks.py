@@ -19,12 +19,13 @@ underlying fit alongside the power.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
-from math import inf
+from math import inf, log
 from typing import ClassVar
 
 from .regression import ExpFitModel, _evaluate
-from .survey import BlockKind, _check_metric
+from .survey import _METRIC_RANGE, BlockKind, _check_metric
 from .units import FrequencyGhz, PowerDbm, PowerMilliwatt, dbm_to_mw
 
 
@@ -52,16 +53,58 @@ class MixerModel:
     kind: ClassVar[BlockKind] = BlockKind.MIXER
 
 
-def _dc_mw(kind: BlockKind, fit: ExpFitModel, f: float, numerator_mw: float,
-           scale: float = 1.0) -> tuple[float, bool]:
-    """numerator_mw / (scale * FoM(f)) in mW and the fit's extrapolation flag at f GHz.
+# One block at fixed levels: P_DC(f) = num / (scale * FoM(f)) mW, with FoM the fitted trend
+# and fom_lo < FoM <= fom_hi, FoM finite, its physical range.
+_Term = namedtuple("_Term", "kind fit num scale fom_lo fom_hi")
 
-    Raises if FoM(f) is unphysical. The PA's scale is 0.01: PAE is in percent.
+
+def _term(kind: BlockKind, fit: ExpFitModel, num: float, scale: float = 1.0) -> _Term:
+    """The term of a block with figure-of-merit trend ``fit`` and numerator ``num`` mW."""
+    return _Term(kind, fit, num, scale, *_METRIC_RANGE[kind][:2])
+
+
+def _dc(term: _Term, f: float) -> tuple[float, bool]:
+    """The term's DC power in mW at f GHz and whether f is outside the fitted span.
+
+    Raises if FoM(f) is unphysical, a FoM past the float range included.
     A power past the float range, or over a subnormal PAE whose 1 % is 0, is inf."""
+    kind, fit, num, scale, fom_lo, fom_hi = term
     fom, extrapolated = _evaluate(fit, f)
-    _check_metric(kind, fom, f)
+    if not fom_lo < fom < inf or fom > fom_hi:
+        _check_metric(kind, fom, f)
     denominator = scale * fom
-    return (numerator_mw / denominator if denominator else inf), extrapolated
+    return (num / denominator if denominator else inf), extrapolated
+
+
+def _admissible(term: _Term, lo: float, hi: float, allow_extrapolation: bool) -> tuple:
+    """[lo, hi] narrowed to the term's validity span, unless ``allow_extrapolation``, and to
+    where its figure of merit is physical; (inf, -inf) if that is nowhere.
+
+    FoM(f) = a * exp(b * f) is monotone, so that is one interval. The
+    closed-form f where the FoM reaches its top bounds it, and the range
+    check of the evaluator settles both ends to the float."""
+    def ok(f: float) -> bool:  # the range check of _dc
+        fom = _evaluate(term.fit, f)[0]
+        return term.fom_lo < fom < inf and fom <= term.fom_hi
+
+    if not allow_extrapolation:
+        lo, hi = max(lo, term.fit.valid_lo.value), min(hi, term.fit.valid_hi.value)
+    if term.fit.b:  # an upper bound for a rising FoM, a lower one for a falling FoM
+        top = log(term.fom_hi / term.fit.a) / term.fit.b
+        lo, hi = (lo, min(hi, top)) if term.fit.b > 0 else (max(lo, top), hi)
+    good = next((f for f in (lo, hi, lo + (hi - lo) / 2) if lo <= hi and ok(f)), None)
+    return (inf, -inf) if good is None else (_edge(ok, good, lo), _edge(ok, good, hi))
+
+
+def _edge(ok, good: float, bad: float) -> float:
+    """The last point from ``good`` toward ``bad`` where ``ok`` holds, by bisection.
+
+    ``ok(good)`` holds, and ``ok`` holds on an interval."""
+    if bad == good or ok(bad):
+        return bad
+    while (mid := good + (bad - good) / 2) not in (good, bad):
+        good, bad = (mid, bad) if ok(mid) else (good, mid)
+    return good
 
 
 def _pa_numerator(p_in: PowerDbm, p_out: PowerDbm) -> float:
@@ -89,7 +132,7 @@ def pa_dc_power(
     (0, 100] percent (100 is the ideal-efficiency floor where
     P_DC = P_out - P_in exactly).
     """
-    mw, extrapolated = _dc_mw(m.kind, m.pae_fit, f.value, _pa_numerator(p_in, p_out), 0.01)
+    mw, extrapolated = _dc(_term(m.kind, m.pae_fit, _pa_numerator(p_in, p_out), 0.01), f.value)
     return PowerMilliwatt(mw), extrapolated
 
 
@@ -101,7 +144,7 @@ def osc_dc_power(
     The DC-to-RF efficiency must land in (0, 1], so the result is never
     below the delivered RF power.
     """
-    mw, extrapolated = _dc_mw(m.kind, m.eff_fit, f.value, dbm_to_mw(p_rf).value)
+    mw, extrapolated = _dc(_term(m.kind, m.eff_fit, dbm_to_mw(p_rf).value), f.value)
     return PowerMilliwatt(mw), extrapolated
 
 
@@ -114,7 +157,7 @@ def mixer_dc_power(
     below one) divided by the gain-per-mW figure of merit gives the DC
     draw.
     """
-    mw, extrapolated = _dc_mw(m.kind, m.fom_fit, f.value, _mixer_numerator(p_if_in, p_rf_out))
+    mw, extrapolated = _dc(_term(m.kind, m.fom_fit, _mixer_numerator(p_if_in, p_rf_out)), f.value)
     return PowerMilliwatt(mw), extrapolated
 
 

@@ -7,9 +7,11 @@ plain sum of the three block draws: the oscillator's RF output is what
 it delivers to the LO port, and the surveyed mixer figures already
 include their LO-drive and bias power, so nothing is double counted.
 
-On top of single-point breakdowns the module provides frequency sweeps,
-a grid-search operating-frequency recommendation, and a per-frequency
-dominant-block report.
+Each block is one exponential term of the frequency (``blocks._Term``),
+evaluated by one function (``blocks._dc``). On top of single-point
+breakdowns the module provides frequency sweeps, the exact
+minimum-power operating frequency (the total is a sum of positive
+exponentials, hence convex), and a per-frequency dominant-block report.
 """
 
 from __future__ import annotations
@@ -17,18 +19,20 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, replace
-from itertools import product
+from itertools import islice, product
 from math import inf
 from typing import Iterator, Sequence
 
-from .blocks import (MixerModel, OscModel, PaModel, _dc_mw, _mixer_numerator, _pa_numerator,
-                     mixer_dc_power, osc_dc_power, pa_dc_power)
+from .blocks import (MixerModel, OscModel, PaModel, _admissible, _dc, _edge, _mixer_numerator,
+                     _pa_numerator, _term, mixer_dc_power, osc_dc_power, pa_dc_power)
 from .survey import BlockKind
 from .units import FrequencyGhz, PowerDbm, PowerMilliwatt, dbm_to_mw
 
 
 class NoAdmissiblePointError(ValueError):
-    """Every grid point needs extrapolation and extrapolation was not allowed."""
+    """No frequency in the search range is admissible: none is inside every used
+    model's validity range (when extrapolation is not allowed) with every figure
+    of merit physical."""
 
 
 @dataclass(frozen=True)
@@ -167,30 +171,17 @@ def frequency_grid(lo: float, hi: float, n: int) -> Iterator[float]:
     return (hi if i == n - 1 else lo + i * step for i in range(n))
 
 
-def _kernel(pa: PaModel | None, osc: OscModel, mix: MixerModel, cfg: ChainConfig):
-    """f -> the finished CSV row (see PowerBreakdown) at ``cfg``'s levels.
-
-    The numerators of P_DC = numerator / FoM(f) are worked out once, here.
-    An unphysical figure of merit raises; a power that overflows to inf is
-    returned as is."""
-    num_osc = dbm_to_mw(cfg.p_osc_rf).value
-    num_mix = _mixer_numerator(cfg.p_if_in, cfg.p_mixer_out)
-    mix_fit, osc_fit = mix.fom_fit, osc.eff_fit
-    with_pa = cfg.p_pa_out is not None
-    if with_pa:
-        if pa is None:
-            raise ValueError("config requests a PA stage but no PA model was provided")
-        num_pa = _pa_numerator(cfg.p_mixer_out, cfg.p_pa_out)
-        pa_fit = pa.pae_fit
-
-    def at(f: float) -> tuple:
-        # Mixer, oscillator, PA: the order in which unphysical fits are reported.
-        mixer_mw, mixer_ex = _dc_mw(BlockKind.MIXER, mix_fit, f, num_mix)
-        osc_mw, osc_ex = _dc_mw(BlockKind.OSCILLATOR, osc_fit, f, num_osc)
-        pa_mw, pa_ex = _dc_mw(BlockKind.PA, pa_fit, f, num_pa, 0.01) if with_pa else (0.0, False)
-        return _row(f, pa_mw, osc_mw, mixer_mw, (pa_ex, osc_ex, mixer_ex))
-
-    return at
+def _terms(pa: PaModel | None, osc: OscModel, mix: MixerModel, cfg: ChainConfig) -> tuple:
+    """The chain's block terms (see ``blocks._Term``) at ``cfg``'s levels: mixer,
+    oscillator, then the PA if ``cfg`` has one."""
+    num_osc = dbm_to_mw(cfg.p_osc_rf).value  # a bad oscillator level is reported first
+    terms = (_term(mix.kind, mix.fom_fit, _mixer_numerator(cfg.p_if_in, cfg.p_mixer_out)),
+             _term(osc.kind, osc.eff_fit, num_osc))
+    if cfg.p_pa_out is None:
+        return terms
+    if pa is None:
+        raise ValueError("config requests a PA stage but no PA model was provided")
+    return terms + (_term(pa.kind, pa.pae_fit, _pa_numerator(cfg.p_mixer_out, cfg.p_pa_out), 0.01),)
 
 
 def _row(f: float, pa_mw: float, osc_mw: float, mixer_mw: float, flags: tuple) -> tuple:
@@ -221,8 +212,8 @@ def chain_breakdown(
 
     The PA stage is present exactly when ``cfg.p_pa_out`` is set; in that
     case a PA model is required. Block evaluation errors propagate. A
-    single point goes through the public block evaluators; sweeps and
-    recommendations use the plain-float kernel over the same arithmetic.
+    single point goes through the public block functions; sweeps and
+    recommendations call the evaluator under them on the chain's terms.
     """
     mixer, mixer_ex = mixer_dc_power(mix, cfg.frequency, cfg.p_if_in, cfg.p_mixer_out)
     osc_part, osc_ex = osc_dc_power(osc, cfg.frequency, cfg.p_osc_rf)
@@ -250,14 +241,18 @@ def sweep(
     """
     if len(frequencies) == 0:
         raise ValueError("sweep needs at least one frequency")
-    at = _kernel(pa, osc, mix, base_cfg)
+    mixer, osc_term, *pa_term = _terms(pa, osc, mix, base_cfg)
     levels = _levels(base_cfg)
     entries = []
     for f in frequencies:
+        freq = f.value
         try:
-            row = _finite(at(f.value))
+            # Mixer, oscillator, PA: the order in which unphysical fits are reported.
+            (mixer_mw, mixer_ex), (osc_mw, osc_ex) = _dc(mixer, freq), _dc(osc_term, freq)
+            pa_mw, pa_ex = _dc(pa_term[0], freq) if pa_term else (0.0, False)
+            row = _finite(_row(freq, pa_mw, osc_mw, mixer_mw, (pa_ex, osc_ex, mixer_ex)))
         except ValueError as exc:
-            raise ValueError(f"sweep failed at {f.value} GHz: {exc}") from None
+            raise ValueError(f"sweep failed at {freq} GHz: {exc}") from None
         entries.append((f, PowerBreakdown(row, levels)))
     return SweepResult(tuple(entries))
 
@@ -269,32 +264,52 @@ def recommend_frequency(
     base_cfg: ChainConfig,
     lo: FrequencyGhz,
     hi: FrequencyGhz,
-    n_grid: int = 512,
+    n_grid: int = 64,
     allow_extrapolation: bool = False,
 ) -> tuple[FrequencyGhz, PowerBreakdown]:
-    """Grid-search the frequency with minimum total DC power in [lo, hi].
+    """The frequency in [lo, hi] with minimum total DC power, and its breakdown.
 
-    Evaluates ``n_grid`` uniformly spaced points (endpoints included).
-    Points where any block must extrapolate are skipped, before their
-    figures of merit are checked, unless ``allow_extrapolation`` is set;
-    ties prefer the lower frequency. Grid search is used instead of a
-    closed form because user-supplied fits need not be monotone.
+    Each block draws P_i(f) = c_i * exp(-b_i * f) with c_i > 0, so the
+    total is convex for any signs of the rates and its minimum is found
+    exactly. The admissible frequencies are one interval: [lo, hi], inside
+    every used model's validity range unless ``allow_extrapolation`` is
+    set, where every figure of merit is physical. A scan of ``n_grid``
+    uniformly spaced points across that interval (endpoints included)
+    brackets the minimum, and bisection on the slope of the total refines
+    it to the float. Ties prefer the lower frequency.
     """
-    grid = frequency_grid(lo.value, hi.value, n_grid)
-    at = _kernel(pa, osc, mix, base_cfg)
-    fits = [mix.fom_fit, osc.eff_fit] + ([] if base_cfg.p_pa_out is None else [pa.pae_fit])
-    span_lo = max(fit.valid_lo.value for fit in fits)
-    span_hi = min(fit.valid_hi.value for fit in fits)
-    admissible = (f for f in grid if allow_extrapolation or span_lo <= f <= span_hi)
-    # min keeps the first of equal totals: the lowest such frequency.
-    best = min(admissible, key=lambda f: at(f)[4], default=None)
-    if best is None:
-        raise NoAdmissiblePointError(
-            f"no grid point in [{lo.value}, {hi.value}] GHz is inside all model "
-            "validity ranges; pass allow_extrapolation to search anyway"
-        )
-    f_best = FrequencyGhz(best)
+    frequency_grid(lo.value, hi.value, n_grid)  # checks the range and the grid size
+    terms = _terms(pa, osc, mix, base_cfg)
+    f_lo, f_hi = lo.value, hi.value
+    for term in terms:
+        f_lo, f_hi = _admissible(term, f_lo, f_hi, allow_extrapolation)
+    if f_lo > f_hi:
+        raise NoAdmissiblePointError(f"no grid point in [{lo.value}, {hi.value}] GHz " + (
+            "has every figure of merit physical" if allow_extrapolation else
+            "is inside all model validity ranges with every figure of merit physical; "
+            "pass allow_extrapolation to search anyway"))
+    f_best = FrequencyGhz(_argmin(terms, f_lo, f_hi, n_grid))
     return f_best, chain_breakdown(pa, osc, mix, replace(base_cfg, frequency=f_best))
+
+
+def _argmin(terms: tuple, lo: float, hi: float, n: int) -> float:
+    """The least f in [lo, hi] that minimises the convex total T of ``terms``.
+
+    Every point of [lo, hi] is admissible. The best of ``n`` nodes brackets
+    the minimum, and bisection on the slope T'(f) = sum(-b_i * P_i(f)) finds
+    the last float where it is negative, or the lower end if it is not."""
+    def total(f: float) -> float:
+        return sum([_dc(t, f)[0] for t in terms])
+
+    def falling(f: float) -> bool:  # T'(f) < 0; a rate of 0 adds nothing, even to an inf power
+        return sum([t.fit.b * _dc(t, f)[0] for t in terms if t.fit.b]) > 0
+
+    if lo == hi:
+        return lo
+    # The first of equal totals wins: the lowest frequency. The grid is not held in memory.
+    k = min(enumerate(frequency_grid(lo, hi, n)), key=lambda node: total(node[1]))[0]
+    left, *_, right = islice(frequency_grid(lo, hi, n), max(k - 1, 0), k + 2)
+    return _edge(falling, left, right) if falling(left) else left
 
 
 def dominance_report(result: SweepResult) -> list[tuple[FrequencyGhz, BlockKind]]:

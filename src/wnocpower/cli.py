@@ -63,11 +63,23 @@ class _UsageError(Exception):
     pass
 
 
+class _Exit(Exception):
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse that reports usage problems through exit code 1."""
 
     def error(self, message):  # noqa: D102
         raise _UsageError(f"{self.prog}: {message}")
+
+
+class _TopParser(_Parser):
+    """The top-level parser: its ``--help`` and ``--version`` end ``main`` with
+    a return code. A subcommand's ``--help`` still raises ``SystemExit``."""
+
+    def exit(self, status=0, message=None):  # noqa: D102
+        raise _Exit(status)  # error() does not come here, so there is no message
 
 
 @dataclass(frozen=True)
@@ -274,6 +286,8 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     pa, osc, mix = _load_chain_models(args)
     freqs = args.freqs if args.freqs is not None else list(frequency_grid(*args.range))
+    if not freqs:
+        raise _UsageError("sweep: --freqs needs at least one frequency")
     if args.levels is None and args.p_mixer_out is None:
         raise _UsageError("sweep: either --p-mixer-out or --levels is required")
     levels = args.levels if args.levels is not None else [args.p_mixer_out]
@@ -360,12 +374,12 @@ def _add_scenario_flags(p: argparse.ArgumentParser, mixer_out_required: bool = T
 
 
 def build_parser() -> _Parser:
-    parser = _Parser(
+    parser = _TopParser(
         prog="wnocpower",
         description="TX front-end DC power budgeting from prototype surveys.",
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("fit", help="fit a block model from a survey CSV")
     p.add_argument("survey_csv", type=Path, help="survey CSV (schema: block,frequency_ghz,metric,label[,technology_node][,notes])")
@@ -407,7 +421,8 @@ def build_parser() -> _Parser:
     _add_model_flags(p)
     p.add_argument("--range", type=_bounds_spec, required=True, metavar="LO:HI",
                    help="search range in GHz")
-    p.add_argument("--n-grid", type=int, default=512, help="grid resolution (default 512)")
+    p.add_argument("--n-grid", type=int, default=64,
+                   help="points of the coarse scan that brackets the exact minimum (default 64)")
     p.add_argument("--allow-extrapolation", action="store_true",
                    help="admit frequencies outside the models' fitted ranges")
     _add_scenario_flags(p)
@@ -445,6 +460,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         print("run 'wnocpower --help' for usage", file=sys.stderr)
         return EXIT_USAGE
+    except _Exit as exc:
+        return exc.args[0]
     try:
         return args.func(args)
     except _UsageError as exc:

@@ -84,15 +84,19 @@ def r_squared(observed: Sequence[float], predicted: Sequence[float]) -> float:
     SS_tot is taken about the mean of ``observed``. The value is 1 for a
     perfect fit, 0 for a fit no better than the mean, and negative for a
     worse one. Constant observations make the quantity undefined and
-    raise :class:`ZeroVarianceError` rather than returning a number.
+    raise :class:`ZeroVarianceError` rather than returning a number;
+    squared deviations past the float range raise a ``ValueError``.
     """
     if len(observed) != len(predicted) or len(observed) == 0:
         raise ValueError("observed and predicted must have equal non-zero length")
-    mean = math.fsum(observed) / len(observed)
-    ss_tot = math.fsum((o - mean) ** 2 for o in observed)
-    if ss_tot == 0.0:
-        raise ZeroVarianceError("observations have zero variance; R-squared undefined")
-    ss_res = math.fsum((o - p) ** 2 for o, p in zip(observed, predicted))
+    try:
+        mean = math.fsum(observed) / len(observed)
+        ss_tot = math.fsum((o - mean) ** 2 for o in observed)
+        if ss_tot == 0.0:
+            raise ZeroVarianceError("observations have zero variance; R-squared undefined")
+        ss_res = math.fsum((o - p) ** 2 for o, p in zip(observed, predicted))
+    except OverflowError:
+        raise ValueError("squared deviations leave the float range; R-squared undefined") from None
     return 1.0 - ss_res / ss_tot
 
 
@@ -141,7 +145,7 @@ def fit_exponential(
         log_pred = [ln_a + b * f for f in freqs]
         pred = [math.exp(lp) for lp in log_pred]
         r2_log, r2_lin = _fit_r2(log_y, log_pred), _fit_r2(metrics, pred)
-    except (OverflowError, ZeroDivisionError):
+    except (OverflowError, ZeroDivisionError, ValueError):  # ValueError: from r_squared
         raise ValueError("exponential fit of these points leaves the float range") from None
 
     model = ExpFitModel(

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from wnocpower import __version__
 from wnocpower.cli import EXIT_DATA, EXIT_EXTRAPOLATION, EXIT_OK, EXIT_USAGE, main
 from wnocpower.exampledata import default_bundle
 
@@ -440,3 +441,19 @@ def test_p_pa_out_help_states_the_zero_gain_rule(capsys):
     with pytest.raises(SystemExit):
         main(["breakdown", "--help"])
     assert "equal to --p-mixer-out" in " ".join(capsys.readouterr().out.split())
+
+
+@pytest.mark.parametrize("flag, shown", [("--help", "usage: wnocpower"),
+                                         ("--version", f"wnocpower {__version__}")])
+def test_top_level_help_and_version_return_zero(flag, shown, capsys):
+    assert main([flag]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.out.startswith(shown) and captured.err == ""
+
+
+def test_sweep_with_empty_freqs_is_a_usage_error(models, tmp_path, capsys):
+    code = main(["sweep", *model_flags(models), "--freqs=", "--p-mixer-out", "-5",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == EXIT_USAGE
+    assert "at least one frequency" in capsys.readouterr().err
+    assert not (tmp_path / "s.csv").exists()

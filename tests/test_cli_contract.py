@@ -3,13 +3,16 @@
 Whatever the input files hold, ``main`` returns 0, 1, 2 or 3 and never
 raises; a data error (2) or a refusal (3) prints exactly one line on
 stderr. The inputs are fitted model documents with arbitrary numbers for
-``breakdown`` and survey CSVs, adjacent doubles included, for ``fit``.
+``breakdown``, ``sweep`` and ``recommend`` (fits that reach their physical
+bound inside the searched range included), and survey CSVs, adjacent
+doubles included, for ``fit``. Grids stay small: at most 64 points.
 """
 
 import contextlib
 import io
 import json
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -104,4 +107,77 @@ def test_fit_of_any_survey_keeps_the_contract(workdir, survey, strategy, bins):
             "--out", str(workdir / "fitted.json")]
     if strategy == "binned-max":
         argv.append(f"--bins={bins}")
+    run(argv)
+
+
+@st.composite
+def fuzzed_models(draw):
+    """(models by kind, range lo, range hi): one model document with drawn numbers.
+
+    Its (a, b) are arbitrary, or put the figure of merit on its physical
+    bound at a frequency inside [lo, hi], so that the range crosses it."""
+    kind = draw(st.sampled_from(sorted(SURVEYS)))
+    lo, hi = draw(numbers(st.floats(0.0, 400.0))), draw(numbers(st.floats(0.0, 400.0)))
+    a, b = draw(numbers(st.floats(0.0, 200.0))), draw(numbers(st.floats(-3.0, 6.0)))
+    if draw(st.booleans()) and math.isfinite(lo) and math.isfinite(hi):
+        b = draw(st.floats(-0.5, 0.5).filter(bool))
+        cross = draw(st.floats(min(lo, hi), max(lo, hi)))
+        a = math.exp(min(709.0, math.log(min(METRIC_MAX[kind], sys.float_info.max)) - b * cross))
+    span = [draw(numbers(st.floats(0.0, 400.0))) for _ in range(2)]
+    return kind, dict(a=a, b=b, valid_lo_ghz=span[0], valid_hi_ghz=span[1]), lo, hi
+
+
+def fuzzed_model_flags(workdir, kind, numbers_):
+    doc = json.loads((workdir / f"{kind}.json").read_text())
+    doc.update(numbers_)
+    (workdir / "fuzzed.json").write_text(json.dumps(doc))
+    models = {k: workdir / ("fuzzed.json" if k == kind else f"{k}.json") for k in SURVEYS}
+    return ["--pa-model", str(models["PA"]), "--osc-model", str(models["OSC"]),
+            "--mixer-model", str(models["MIXER"])]
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    model=fuzzed_models(),
+    n=st.integers(-2, 64),
+    freqs=st.one_of(st.none(), st.lists(numbers(st.floats(0.0, 400.0)), max_size=5)),
+    levels=st.sampled_from([None, "-15,-5", "-5"]),
+    p_pa_out=st.sampled_from([None, "-5", "0", "10"]),
+    strict=st.booleans(),
+)
+def test_sweep_with_any_model_numbers_keeps_the_contract(workdir, model, n, freqs, levels,
+                                                         p_pa_out, strict):
+    kind, numbers_, lo, hi = model
+    argv = ["sweep", *fuzzed_model_flags(workdir, kind, numbers_), "--out",
+            str(workdir / "sweep.csv")]
+    if freqs is None:
+        argv.append(f"--range={lo!r}:{hi!r}:{n}")
+    else:
+        argv.append("--freqs=" + ",".join(map(repr, freqs)))
+    argv.append("--p-mixer-out=-5" if levels is None else f"--levels={levels}")
+    if p_pa_out is not None:
+        argv.append(f"--p-pa-out={p_pa_out}")
+    if strict:
+        argv.append("--strict")
+    run(argv)
+
+
+@settings(max_examples=250, deadline=None)
+@given(
+    model=fuzzed_models(),
+    n_grid=st.one_of(st.none(), st.integers(-2, 64)),
+    p_pa_out=st.sampled_from([None, "-5", "0", "10"]),
+    allow=st.booleans(),
+)
+def test_recommend_with_any_model_numbers_keeps_the_contract(workdir, model, n_grid, p_pa_out,
+                                                             allow):
+    kind, numbers_, lo, hi = model
+    argv = ["recommend", *fuzzed_model_flags(workdir, kind, numbers_), f"--range={lo!r}:{hi!r}",
+            "--p-mixer-out=-5"]
+    if n_grid is not None:
+        argv.append(f"--n-grid={n_grid}")
+    if p_pa_out is not None:
+        argv.append(f"--p-pa-out={p_pa_out}")
+    if allow:
+        argv.append("--allow-extrapolation")
     run(argv)

@@ -163,6 +163,13 @@ def test_r_squared_rejects_length_mismatch():
         r_squared([], [])
 
 
+def test_r_squared_past_the_float_range_is_a_value_error():
+    # (1e200 - mean)^2 overflows a float
+    for observed, predicted in (([1e200, 1.0], [1.0, 1.0]), ([1.0, 2.0], [1e200, 1.0])):
+        with pytest.raises(ValueError, match="^squared deviations leave the float range"):
+            r_squared(observed, predicted)
+
+
 # --- evaluation ------------------------------------------------------------
 
 
