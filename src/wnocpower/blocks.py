@@ -53,14 +53,17 @@ class MixerModel:
     kind: ClassVar[BlockKind] = BlockKind.MIXER
 
 
-# One block at fixed levels: P_DC(f) = num / (scale * FoM(f)) mW, with FoM the fitted trend
-# and fom_lo < FoM <= fom_hi, FoM finite, its physical range.
+# One block at fixed levels: P_DC(f) = num / (scale * FoM(f)) mW, with FoM the fitted trend in
+# its survey unit, scale that unit as a plain number (0.01 for PAE in %), and
+# fom_lo < FoM <= fom_hi, FoM finite, its physical range.
 _Term = namedtuple("_Term", "kind fit num scale fom_lo fom_hi")
 
 
-def _term(kind: BlockKind, fit: ExpFitModel, num: float, scale: float = 1.0) -> _Term:
-    """The term of a block with figure-of-merit trend ``fit`` and numerator ``num`` mW."""
-    return _Term(kind, fit, num, scale, *_METRIC_RANGE[kind][:2])
+def _term(kind: BlockKind, fit: ExpFitModel, num: float) -> _Term:
+    """The term of a block with FoM trend ``fit`` and numerator ``num`` mW; its scale and
+    physical range are the block's ``survey._METRIC_RANGE`` row."""
+    fom_lo, fom_hi, _unit, scale, _problem = _METRIC_RANGE[kind]
+    return _Term(kind, fit, num, scale, fom_lo, fom_hi)
 
 
 def _dc(term: _Term, f: float) -> tuple[float, bool]:
@@ -132,7 +135,7 @@ def pa_dc_power(
     (0, 100] percent (100 is the ideal-efficiency floor where
     P_DC = P_out - P_in exactly).
     """
-    mw, extrapolated = _dc(_term(m.kind, m.pae_fit, _pa_numerator(p_in, p_out), 0.01), f.value)
+    mw, extrapolated = _dc(_term(m.kind, m.pae_fit, _pa_numerator(p_in, p_out)), f.value)
     return PowerMilliwatt(mw), extrapolated
 
 

@@ -181,7 +181,7 @@ def _terms(pa: PaModel | None, osc: OscModel, mix: MixerModel, cfg: ChainConfig)
         return terms
     if pa is None:
         raise ValueError("config requests a PA stage but no PA model was provided")
-    return terms + (_term(pa.kind, pa.pae_fit, _pa_numerator(cfg.p_mixer_out, cfg.p_pa_out), 0.01),)
+    return terms + (_term(pa.kind, pa.pae_fit, _pa_numerator(cfg.p_mixer_out, cfg.p_pa_out)),)
 
 
 def _row(f: float, pa_mw: float, osc_mw: float, mixer_mw: float, flags: tuple) -> tuple:
@@ -280,9 +280,7 @@ def recommend_frequency(
     """
     frequency_grid(lo.value, hi.value, n_grid)  # checks the range and the grid size
     terms = _terms(pa, osc, mix, base_cfg)
-    f_lo, f_hi = lo.value, hi.value
-    for term in terms:
-        f_lo, f_hi = _admissible(term, f_lo, f_hi, allow_extrapolation)
+    f_lo, f_hi = _admissible_interval(terms, lo.value, hi.value, allow_extrapolation)
     if f_lo > f_hi:
         raise NoAdmissiblePointError(f"no grid point in [{lo.value}, {hi.value}] GHz " + (
             "has every figure of merit physical" if allow_extrapolation else
@@ -290,6 +288,13 @@ def recommend_frequency(
             "pass allow_extrapolation to search anyway"))
     f_best = FrequencyGhz(_argmin(terms, f_lo, f_hi, n_grid))
     return f_best, chain_breakdown(pa, osc, mix, replace(base_cfg, frequency=f_best))
+
+
+def _admissible_interval(terms: tuple, lo: float, hi: float, allow_extrapolation: bool) -> tuple:
+    """[lo, hi] narrowed by ``blocks._admissible`` for every term; (inf, -inf) if that is empty."""
+    for term in terms:
+        lo, hi = _admissible(term, lo, hi, allow_extrapolation)
+    return lo, hi
 
 
 def _argmin(terms: tuple, lo: float, hi: float, n: int) -> float:

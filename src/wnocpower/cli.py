@@ -31,6 +31,8 @@ from .chain import (
     ChainConfig,
     NoAdmissiblePointError,
     PowerBreakdown,
+    _admissible_interval,
+    _terms,
     breakdown_to_dict,
     breakdowns_to_csv,
     chain_breakdown,
@@ -63,23 +65,13 @@ class _UsageError(Exception):
     pass
 
 
-class _Exit(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
-    """argparse that reports usage problems through exit code 1."""
+    """argparse that reports usage problems through exit code 1: every parser, top level
+    and subcommands. ``--help`` and ``--version`` raise ``SystemExit(0)``, which ``main``
+    returns as its code."""
 
     def error(self, message):  # noqa: D102
         raise _UsageError(f"{self.prog}: {message}")
-
-
-class _TopParser(_Parser):
-    """The top-level parser: its ``--help`` and ``--version`` end ``main`` with
-    a return code. A subcommand's ``--help`` still raises ``SystemExit``."""
-
-    def exit(self, status=0, message=None):  # noqa: D102
-        raise _Exit(status)  # error() does not come here, so there is no message
 
 
 @dataclass(frozen=True)
@@ -145,24 +137,20 @@ def _float_list(text: str) -> list[float]:
         raise argparse.ArgumentTypeError(f"not a comma-separated number list: {text!r}")
 
 
-def _range_spec(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected lo:hi:n (got {text!r})")
-    try:
-        return float(parts[0]), float(parts[1]), int(parts[2])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected lo:hi:n with numeric fields (got {text!r})")
+def _colon_spec(*types):
+    """An argparse type for ``lo:hi`` or ``lo:hi:n``: one field per entry of ``types``."""
+    shape = ":".join(("lo", "hi", "n")[:len(types)])
 
+    def parse(text: str) -> tuple:
+        parts = text.split(":")
+        if len(parts) != len(types):
+            raise argparse.ArgumentTypeError(f"expected {shape} (got {text!r})")
+        try:
+            return tuple(t(part) for t, part in zip(types, parts))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {shape} with numeric fields (got {text!r})")
 
-def _bounds_spec(text: str) -> tuple[float, float]:
-    parts = text.split(":")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected lo:hi (got {text!r})")
-    try:
-        return float(parts[0]), float(parts[1])
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected lo:hi with numeric fields (got {text!r})")
+    return parse
 
 
 def _strategy_from_args(args: argparse.Namespace) -> FrontierStrategy:
@@ -284,13 +272,14 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    pa, osc, mix = _load_chain_models(args)
     freqs = args.freqs if args.freqs is not None else list(frequency_grid(*args.range))
     if not freqs:
         raise _UsageError("sweep: --freqs needs at least one frequency")
-    if args.levels is None and args.p_mixer_out is None:
-        raise _UsageError("sweep: either --p-mixer-out or --levels is required")
-    levels = args.levels if args.levels is not None else [args.p_mixer_out]
+    levels = [args.p_mixer_out] if args.levels is None else args.levels
+    if (args.levels is None) == (args.p_mixer_out is None) or not levels:
+        raise _UsageError("sweep: give exactly one of --p-mixer-out or --levels, "
+                          "with at least one level")
+    pa, osc, mix = _load_chain_models(args)
 
     grid = [FrequencyGhz(f) for f in freqs]
     rows: list[PowerBreakdown] = []
@@ -325,12 +314,11 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
         n_grid=args.n_grid,
         allow_extrapolation=args.allow_extrapolation,
     )
-    if f_best.value == lo:
-        position = "at range boundary: lower"
-    elif f_best.value == hi:
-        position = "at range boundary: upper"
-    else:
-        position = "interior minimum"
+    f_lo, f_hi = _admissible_interval(_terms(pa, osc, mix, base), lo, hi, args.allow_extrapolation)
+    # Later keys win, so a range end outranks an admissible end at the same frequency.
+    labels = {f_lo: "at admissible bound: lower", f_hi: "at admissible bound: upper",
+              lo: "at range boundary: lower", hi: "at range boundary: upper"}
+    position = labels.get(f_best.value, "interior minimum")
     print(f"recommended operating frequency: {f_best.value:g} GHz ({position})")
     _print_breakdown(bd)
     _warn_extrapolated(bd)
@@ -354,8 +342,8 @@ def _cmd_validate_examples(args: argparse.Namespace) -> int:
 # --- parser ---------------------------------------------------------------
 
 
-def _add_model_flags(p: argparse.ArgumentParser, pa_required: bool = False) -> None:
-    p.add_argument("--pa-model", type=Path, required=pa_required,
+def _add_model_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--pa-model", type=Path,
                    help="fitted PA model JSON (omit for a PA-less chain)")
     p.add_argument("--osc-model", type=Path, required=True, help="fitted oscillator model JSON")
     p.add_argument("--mixer-model", type=Path, required=True, help="fitted mixer model JSON")
@@ -374,7 +362,7 @@ def _add_scenario_flags(p: argparse.ArgumentParser, mixer_out_required: bool = T
 
 
 def build_parser() -> _Parser:
-    parser = _TopParser(
+    parser = _Parser(
         prog="wnocpower",
         description="TX front-end DC power budgeting from prototype surveys.",
     )
@@ -407,7 +395,7 @@ def build_parser() -> _Parser:
     grid = p.add_mutually_exclusive_group(required=True)
     grid.add_argument("--freqs", type=_float_list, default=None,
                       help="explicit comma-separated frequencies in GHz, strictly increasing")
-    grid.add_argument("--range", type=_range_spec, default=None, metavar="LO:HI:N",
+    grid.add_argument("--range", type=_colon_spec(float, float, int), metavar="LO:HI:N",
                       help="uniform grid of N points from LO to HI GHz")
     _add_scenario_flags(p, mixer_out_required=False)
     p.add_argument("--levels", type=_float_list, default=None,
@@ -419,7 +407,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("recommend", help="minimum-total-power frequency over a range")
     _add_model_flags(p)
-    p.add_argument("--range", type=_bounds_spec, required=True, metavar="LO:HI",
+    p.add_argument("--range", type=_colon_spec(float, float), required=True, metavar="LO:HI",
                    help="search range in GHz")
     p.add_argument("--n-grid", type=int, default=64,
                    help="points of the coarse scan that brackets the exact minimum (default 64)")
@@ -460,8 +448,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(str(exc), file=sys.stderr)
         print("run 'wnocpower --help' for usage", file=sys.stderr)
         return EXIT_USAGE
-    except _Exit as exc:
-        return exc.args[0]
+    except SystemExit as exc:  # --help or --version, at the top level or on a subcommand
+        return exc.code
     try:
         return args.func(args)
     except _UsageError as exc:

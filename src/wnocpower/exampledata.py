@@ -14,7 +14,7 @@ from pathlib import Path
 from .blocks import MixerModel, OscModel, PaModel, osc_dc_power
 from .chain import ChainConfig, chain_breakdown
 from .regression import fit_survey
-from .survey import BlockKind, FrontierStrategy, ParetoUpper
+from .survey import BlockKind, ParetoUpper
 from .units import FrequencyGhz, PowerDbm
 
 EXAMPLES_DIR = Path(__file__).parent / "data" / "examples"
@@ -59,18 +59,13 @@ def bundle_at(root: Path) -> ExampleBundle:
     )
 
 
-def fit_bundle(
-    bundle: ExampleBundle | None = None,
-    strategy: FrontierStrategy | None = None,
-) -> tuple[PaModel, OscModel, MixerModel]:
-    """Parse, frontier-extract, and fit all three shipped surveys."""
+def fit_bundle(bundle: ExampleBundle | None = None) -> tuple[PaModel, OscModel, MixerModel]:
+    """Parse all three surveys of ``bundle`` (default: the packaged one) and fit each
+    to its Pareto-upper frontier, as the bundle README documents."""
     bundle = bundle or default_bundle()
-    strategy = strategy or ParetoUpper()
-    return (
-        PaModel(fit_survey(bundle.pa_csv, BlockKind.PA, strategy)[1]),
-        OscModel(fit_survey(bundle.oscillator_csv, BlockKind.OSCILLATOR, strategy)[1]),
-        MixerModel(fit_survey(bundle.mixer_csv, BlockKind.MIXER, strategy)[1]),
-    )
+    roles = ((PaModel, bundle.pa_csv), (OscModel, bundle.oscillator_csv),
+             (MixerModel, bundle.mixer_csv))
+    return tuple(model(fit_survey(path, model.kind, ParetoUpper())[1]) for model, path in roles)
 
 
 def scenario_config(frequency_ghz: float, pa_out_dbm: float | None) -> ChainConfig:

@@ -5,6 +5,9 @@ import pytest
 from wnocpower import __version__
 from wnocpower.cli import EXIT_DATA, EXIT_EXTRAPOLATION, EXIT_OK, EXIT_USAGE, main
 from wnocpower.exampledata import default_bundle
+from wnocpower.regression import ExpFitModel, save_model
+from wnocpower.survey import BlockKind
+from wnocpower.units import FrequencyGhz
 
 BUNDLE = default_bundle()
 
@@ -438,15 +441,16 @@ def test_breakdown_with_overflowing_fit_is_data_error(models, tmp_path, capsys):
 
 
 def test_p_pa_out_help_states_the_zero_gain_rule(capsys):
-    with pytest.raises(SystemExit):
-        main(["breakdown", "--help"])
+    assert main(["breakdown", "--help"]) == EXIT_OK
     assert "equal to --p-mixer-out" in " ".join(capsys.readouterr().out.split())
 
 
 @pytest.mark.parametrize("flag, shown", [("--help", "usage: wnocpower"),
-                                         ("--version", f"wnocpower {__version__}")])
+                                         ("--version", f"wnocpower {__version__}")] + [
+    (f"{sub} --help", f"usage: wnocpower {sub}")
+    for sub in ("fit", "breakdown", "sweep", "recommend", "validate-examples")])
 def test_top_level_help_and_version_return_zero(flag, shown, capsys):
-    assert main([flag]) == EXIT_OK
+    assert main(flag.split()) == EXIT_OK
     captured = capsys.readouterr()
     assert captured.out.startswith(shown) and captured.err == ""
 
@@ -457,3 +461,43 @@ def test_sweep_with_empty_freqs_is_a_usage_error(models, tmp_path, capsys):
     assert code == EXIT_USAGE
     assert "at least one frequency" in capsys.readouterr().err
     assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("levels", [["--p-mixer-out", "0", "--levels=-10"], ["--levels="]],
+                         ids=["both-level-flags", "empty-levels"])
+def test_sweep_needs_exactly_one_nonempty_level_source(models, tmp_path, capsys, levels):
+    out = tmp_path / "s.csv"
+    code = main(["sweep", *model_flags(models), "--freqs", "30,60", *levels, "--out", str(out)])
+    assert code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert "--p-mixer-out or --levels" in err and len(err.splitlines()) == 1
+    assert list(tmp_path.glob("s.csv*")) == []
+
+
+def test_recommend_malformed_range_is_usage_error(models, capsys):
+    code = main(["recommend", *model_flags(models), "--range", "10", "--p-mixer-out", "-5"])
+    assert code == EXIT_USAGE
+    assert "expected lo:hi (got '10')" in capsys.readouterr().err
+
+
+def _model_file(tmp_path, kind, a, b):
+    """A model JSON of the trend a * exp(b * f) fitted on [1, 300] GHz."""
+    path = tmp_path / f"{kind.token}.json"
+    save_model(path, kind, ExpFitModel(a, b, FrequencyGhz(1.0), FrequencyGhz(300.0),
+                                       1.0, 1.0, 2, "test"), "0" * 64)
+    return str(path)
+
+
+@pytest.mark.parametrize("case, label", [("bundle", "(at admissible bound: lower)"),
+                                         ("interior", "(interior minimum)")])
+def test_recommend_labels_which_bound_the_answer_sits_on(models, tmp_path, capsys, case, label):
+    if case == "bundle":  # 12.7 GHz is where the oscillator's span starts
+        flags, expected = [*model_flags(models), "--p-pa-out", "0"], "12.7 GHz"
+    else:
+        flags = ["--osc-model", _model_file(tmp_path, BlockKind.OSCILLATOR, 0.5, -0.007),
+                 "--mixer-model", _model_file(tmp_path, BlockKind.MIXER, 0.01, 0.03)]
+        expected = "145.062 GHz"
+    code = main(["recommend", *flags, "--range", "10:300", "--p-mixer-out", "-5"])
+    assert code == EXIT_OK
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first == f"recommended operating frequency: {expected} {label}"
