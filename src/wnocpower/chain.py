@@ -19,9 +19,9 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass, replace
-from itertools import islice, product
+from itertools import islice, pairwise, product
 from math import inf
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .blocks import (MixerModel, OscModel, PaModel, _admissible, _dc, _edge, _mixer_numerator,
                      _pa_numerator, _term, mixer_dc_power, osc_dc_power, pa_dc_power)
@@ -150,8 +150,7 @@ class SweepResult:
     entries: tuple[tuple[FrequencyGhz, PowerBreakdown], ...]
 
     def __post_init__(self) -> None:
-        freqs = [f.value for f, _ in self.entries]
-        if any(b <= a for a, b in zip(freqs, freqs[1:])):
+        if not _strictly_increasing(f.value for f, _ in self.entries):
             raise ValueError("sweep frequencies must be strictly increasing")
 
     def __len__(self) -> int:
@@ -159,6 +158,11 @@ class SweepResult:
 
     def __iter__(self) -> Iterator[tuple[FrequencyGhz, PowerBreakdown]]:
         return iter(self.entries)
+
+
+def _strictly_increasing(values: Iterable[float]) -> bool:
+    """False if some value is <= the one before it. Takes any iterable in O(1) memory."""
+    return not any(b <= a for a, b in pairwise(values))
 
 
 def frequency_grid(lo: float, hi: float, n: int) -> Iterator[float]:

@@ -22,6 +22,8 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
+from functools import partial
+from itertools import islice
 from pathlib import Path
 from typing import Sequence
 
@@ -32,6 +34,7 @@ from .chain import (
     NoAdmissiblePointError,
     PowerBreakdown,
     _admissible_interval,
+    _strictly_increasing,
     _terms,
     breakdown_to_dict,
     breakdowns_to_csv,
@@ -57,6 +60,10 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_EXTRAPOLATION = 3
+
+# Grid points per sweep() call: peak memory of a CLI sweep is set by this, not by
+# the row count.
+_SWEEP_CHUNK = 1024
 
 _BLOCK_LABEL = {BlockKind.PA: "PA", BlockKind.OSCILLATOR: "oscillator", BlockKind.MIXER: "mixer"}
 
@@ -272,31 +279,50 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    freqs = args.freqs if args.freqs is not None else list(frequency_grid(*args.range))
-    if not freqs:
-        raise _UsageError("sweep: --freqs needs at least one frequency")
+    if args.freqs is not None:
+        if not args.freqs:
+            raise _UsageError("sweep: --freqs needs at least one frequency")
+        grid = partial(iter, args.freqs)
+        first, last, n = args.freqs[0], args.freqs[-1], len(args.freqs)
+    else:
+        grid = partial(frequency_grid, *args.range)
+        grid()  # checks the range and the grid size
+        first, last, n = args.range
     levels = [args.p_mixer_out] if args.levels is None else args.levels
     if (args.levels is None) == (args.p_mixer_out is None) or not levels:
         raise _UsageError("sweep: give exactly one of --p-mixer-out or --levels, "
                           "with at least one level")
     pa, osc, mix = _load_chain_models(args)
+    # The whole grid is checked before the first row: a chunk cannot see a repeat at
+    # its boundary, and a --range step below one ulp repeats a frequency. Every
+    # frequency is validated in the same pass, so it is reported before a bad level.
+    if not _strictly_increasing(FrequencyGhz(f).value for f in grid()):
+        raise ValueError("sweep frequencies must be strictly increasing")
+    bases = [_chain_config(first, level, args.p_if, args.p_pa_out, args.p_osc_rf)
+             for level in levels]
+    extrapolated = False
 
-    grid = [FrequencyGhz(f) for f in freqs]
-    rows: list[PowerBreakdown] = []
-    for level in levels:
-        base = _chain_config(freqs[0], level, args.p_if, args.p_pa_out, args.p_osc_rf)
-        rows.extend(bd for _f, bd in sweep(pa, osc, mix, base, grid))
+    def chunks():
+        nonlocal extrapolated
+        header = True
+        for base in bases:
+            points = grid()
+            while chunk := [FrequencyGhz(f) for f in islice(points, _SWEEP_CHUNK)]:
+                rows = [bd for _f, bd in sweep(pa, osc, mix, base, chunk)]
+                extrapolated = extrapolated or any(bd.any_extrapolated for bd in rows)
+                text = breakdowns_to_csv(rows)
+                yield text if header else text[text.index("\n") + 1:]
+                header = False
 
-    text = breakdowns_to_csv(rows)
-    _write_result(args.out, lambda: write_text_atomic(args.out, text),
+    _write_result(args.out, lambda: write_text_atomic(args.out, chunks()),
                   _manifest(args, _model_inputs(args)))
     levels_txt = ", ".join(f"{lv:g} dBm" for lv in levels)
     print(
-        f"swept {len(freqs)} frequencies from {freqs[0]:g} to {freqs[-1]:g} GHz "
+        f"swept {n} frequencies from {first:g} to {last:g} GHz "
         f"at mixer output level(s) {levels_txt}"
     )
-    print(f"wrote {len(rows)} rows to {args.out} and {args.out}.manifest.json")
-    if any(bd.any_extrapolated for bd in rows):
+    print(f"wrote {n * len(levels)} rows to {args.out} and {args.out}.manifest.json")
+    if extrapolated:
         print("warning: some rows evaluate models outside their fitted range "
               "(see extrapolated_blocks column)", file=sys.stderr)
         if args.strict:
@@ -460,6 +486,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return EXIT_EXTRAPOLATION
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DATA
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_DATA
 
 

@@ -5,21 +5,26 @@ from __future__ import annotations
 import os
 import stat
 from pathlib import Path
+from typing import Iterable
 
 
-def write_text_atomic(path, text: str) -> None:
+def write_text_atomic(path, text: str | Iterable[str]) -> None:
     """Write ``text`` as UTF-8 to ``path`` through a temporary file beside it.
 
-    ``os.replace`` swaps the finished file in, so a failure at any step
-    leaves the previous file, or none, and no temporary file. There is no
-    fsync: this guards against the program failing, not the host.
+    ``text`` is a string or an iterable of string chunks, written as they
+    come, so a caller can stream output it never holds whole. ``os.replace``
+    swaps the finished file in, so a failure at any step, in the iterable
+    included, leaves the previous file, or none, and no temporary file.
+    There is no fsync: this guards against the program failing, not the host.
 
     A symlink is followed: the temporary file goes beside the file it
     names, so the link stays and its target gets the text. An existing
     path that is not a regular file (a device such as /dev/null, a FIFO)
-    is written in place, since a rename would replace the node itself.
+    is written in place, since a rename would replace the node itself; a
+    failure there leaves the chunks already written.
     """
     path = Path(path)
+    chunks = (text,) if isinstance(text, str) else text
     try:
         try:
             regular = stat.S_ISREG(os.stat(path).st_mode)
@@ -27,13 +32,13 @@ def write_text_atomic(path, text: str) -> None:
             regular = True
         if not regular:
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             return
         target = Path(os.path.realpath(path))
         tmp = target.with_name(f".{target.name}.{os.getpid()}.tmp")
         try:
             with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
+                fh.writelines(chunks)
             os.replace(tmp, target)
         finally:
             tmp.unlink(missing_ok=True)

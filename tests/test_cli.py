@@ -501,3 +501,118 @@ def test_recommend_labels_which_bound_the_answer_sits_on(models, tmp_path, capsy
     assert code == EXIT_OK
     first = capsys.readouterr().out.splitlines()[0]
     assert first == f"recommended operating frequency: {expected} {label}"
+
+
+# --- streaming sweep ---------------------------------------------------------------
+
+
+def test_sweep_across_chunk_boundaries_matches_library_csv(models, tmp_path, capsys):
+    import wnocpower.cli as cli
+    from wnocpower.blocks import MixerModel, OscModel, PaModel
+    from wnocpower.chain import ChainConfig, breakdowns_to_csv, frequency_grid, sweep
+    from wnocpower.regression import load_model
+    from wnocpower.units import PowerDbm
+
+    n = 2 * cli._SWEEP_CHUNK + 1
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *model_flags(models), "--range", f"20:250:{n}", "--levels", "-10,-5",
+                 "--p-pa-out", "3", "--out", str(out)]) == EXIT_OK
+    assert f"wrote {2 * n} rows" in capsys.readouterr().out
+
+    pa, osc, mix = (cls(load_model(models[key])[1]) for cls, key in
+                    ((PaModel, "PA"), (OscModel, "OSC"), (MixerModel, "MIXER")))
+    grid = [FrequencyGhz(f) for f in frequency_grid(20.0, 250.0, n)]
+    rows = [bd for level in (-10.0, -5.0)
+            for _f, bd in sweep(pa, osc, mix, ChainConfig(grid[0], PowerDbm(level),
+                                                          p_pa_out=PowerDbm(3.0)), grid)]
+    assert out.read_text() == breakdowns_to_csv(rows)
+
+
+def test_sweep_failure_after_the_first_chunk_keeps_the_previous_result(tmp_path, capsys):
+    # Oscillator efficiency 0.01 * exp(0.04 f) passes 1 at ~115.1 GHz: point ~1720 of 3000.
+    flags = ["--osc-model", _model_file(tmp_path, BlockKind.OSCILLATOR, 0.01, 0.04),
+             "--mixer-model", _model_file(tmp_path, BlockKind.MIXER, 0.01, 0.03),
+             "--p-mixer-out", "-5"]
+    out = tmp_path / "out" / "sweep.csv"
+    out.parent.mkdir()
+    assert main(["sweep", *flags, "--range", "1:100:3000", "--out", str(out)]) == EXIT_OK
+    before = sorted((p.name, p.read_bytes()) for p in out.parent.iterdir())
+    capsys.readouterr()
+
+    assert main(["sweep", *flags, "--range", "1:200:3000", "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: sweep failed at 115.") and len(err.splitlines()) == 1
+    assert sorted((p.name, p.read_bytes()) for p in out.parent.iterdir()) == before
+
+
+@pytest.mark.parametrize("grid", [
+    ["--range", "100:100.00000000000003:10"],  # a step below one ulp repeats a frequency
+    ["--freqs", ",".join(["30"] * 2 + [str(31 + i) for i in range(1024)])],
+    ["--freqs", ",".join([str(30 + i) for i in range(1024)] * 2)],  # repeats at a chunk end
+], ids=["sub-ulp-range", "repeat-at-start", "repeat-at-chunk-boundary"])
+def test_sweep_checks_the_whole_grid_before_the_first_row(models, tmp_path, capsys, grid):
+    out = tmp_path / "s.csv"
+    code = main(["sweep", *model_flags(models), *grid, "--p-mixer-out", "-5", "--out", str(out)])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == "error: sweep frequencies must be strictly increasing\n"
+    assert list(tmp_path.glob("*s.csv*")) == []
+
+
+def test_sweep_out_of_memory_is_a_one_line_data_error(models, tmp_path, capsys, monkeypatch):
+    import wnocpower.cli as cli
+
+    def exhausted(*args):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "sweep", exhausted)
+    code = main(["sweep", *model_flags(models), "--freqs", "30,60", "--p-mixer-out", "-5",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == "error: out of memory\n"
+    assert list(tmp_path.glob("*s.csv*")) == []
+
+
+def test_sweep_of_200k_rows_fits_in_a_96_mib_address_space(models, tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wnocpower
+
+    resource = pytest.importorskip("resource")
+    limit = 96 * 1024 * 1024
+
+    def cap_address_space():  # applies to the child process only
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = str(Path(wnocpower.__file__).resolve().parent.parent)
+    out = tmp_path / "big.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "wnocpower.cli", "sweep", *model_flags(models),
+         "--range", "40:240:50000", "--levels", "-15,-10,-5,0", "--p-pa-out", "5",
+         "--out", str(out)],
+        env={**os.environ, "PYTHONPATH": src}, preexec_fn=cap_address_space,
+        capture_output=True, text=True, timeout=120)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    assert "wrote 200000 rows" in proc.stdout
+    with open(out, encoding="utf-8") as fh:
+        assert sum(1 for _ in fh) == 1 + 200_000
+
+
+def test_atomic_write_keeps_the_old_file_when_the_chunks_fail(tmp_path):
+    from wnocpower.fileio import write_text_atomic
+
+    path = tmp_path / "out.csv"
+    path.write_text("old\n")
+
+    def chunks():
+        yield "new,"
+        raise ValueError("halfway")
+
+    with pytest.raises(ValueError, match="halfway"):
+        write_text_atomic(path, chunks())
+    assert path.read_text() == "old\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+    write_text_atomic(path, iter(["a,b\n", "1,2\n"]))
+    assert path.read_text() == "a,b\n1,2\n"
