@@ -21,8 +21,8 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from math import inf, log
-from typing import ClassVar
+from math import exp, inf, log
+from typing import ClassVar, Sequence
 
 from .regression import ExpFitModel, _evaluate
 from .survey import _METRIC_RANGE, BlockKind, _check_metric
@@ -77,6 +77,26 @@ def _dc(term: _Term, f: float) -> tuple[float, bool]:
         _check_metric(kind, fom, f)
     denominator = scale * fom
     return (num / denominator if denominator else inf), extrapolated
+
+
+def _dcs(term: _Term, freqs: Sequence[float]) -> tuple[list, list]:
+    """``_dc`` over a column of frequencies: the powers and the extrapolation flags.
+
+    The same expressions in the same order, with the term's fields read
+    once. Raises at the first f of the column where ``_dc`` raises."""
+    kind, fit, num, scale, fom_lo, fom_hi = term
+    a, b, valid_lo, valid_hi = fit.a, fit.b, fit.valid_lo.value, fit.valid_hi.value
+    powers = []
+    for f in freqs:
+        try:
+            fom = a * exp(b * f)
+        except OverflowError:
+            fom = inf
+        if not fom_lo < fom < inf or fom > fom_hi:
+            _check_metric(kind, fom, f)
+        denominator = scale * fom
+        powers.append(num / denominator if denominator else inf)
+    return powers, [f < valid_lo or f > valid_hi for f in freqs]
 
 
 def _admissible(term: _Term, lo: float, hi: float, allow_extrapolation: bool) -> tuple:

@@ -8,23 +8,23 @@ it delivers to the LO port, and the surveyed mixer figures already
 include their LO-drive and bias power, so nothing is double counted.
 
 Each block is one exponential term of the frequency (``blocks._Term``),
-evaluated by one function (``blocks._dc``). On top of single-point
-breakdowns the module provides frequency sweeps, the exact
-minimum-power operating frequency (the total is a sum of positive
-exponentials, hence convex), and a per-frequency dominant-block report.
+evaluated by one function (``blocks._dc``, or ``blocks._dcs`` over a column
+of frequencies). On top of single-point breakdowns the module provides
+frequency sweeps, the exact minimum-power operating frequency (the total
+is a sum of positive exponentials, hence convex), and a per-frequency
+dominant-block report.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass, replace
-from itertools import islice, pairwise, product
-from math import inf
+from itertools import islice, pairwise, product, repeat
+from math import inf, isfinite
 from typing import Iterable, Iterator, Sequence
 
-from .blocks import (MixerModel, OscModel, PaModel, _admissible, _dc, _edge, _mixer_numerator,
-                     _pa_numerator, _term, mixer_dc_power, osc_dc_power, pa_dc_power)
+from .blocks import (MixerModel, OscModel, PaModel, _admissible, _dc, _dcs, _edge,
+                     _mixer_numerator, _pa_numerator, _term, mixer_dc_power, osc_dc_power,
+                     pa_dc_power)
 from .survey import BlockKind
 from .units import FrequencyGhz, PowerDbm, PowerMilliwatt, dbm_to_mw
 
@@ -167,6 +167,9 @@ def _strictly_increasing(values: Iterable[float]) -> bool:
 
 def frequency_grid(lo: float, hi: float, n: int) -> Iterator[float]:
     """``n`` uniformly spaced frequencies from lo to hi GHz, both ends exact."""
+    for end in (lo, hi):  # a nan end would pass the order check, an inf one make a nan step
+        if not isfinite(end):
+            raise ValueError(f"frequency range ends must be finite (got {end} GHz)")
     if lo >= hi:
         raise ValueError(f"inverted frequency range [{lo}, {hi}] GHz")
     if n < 2:
@@ -245,20 +248,44 @@ def sweep(
     """
     if len(frequencies) == 0:
         raise ValueError("sweep needs at least one frequency")
-    mixer, osc_term, *pa_term = _terms(pa, osc, mix, base_cfg)
+    terms = _terms(pa, osc, mix, base_cfg)
+    freqs = [f.value for f in frequencies]
+    try:
+        rows = _column_rows(terms, freqs)
+    except ValueError:  # some point failed: walk them again, in order, to name the first
+        rows = _point_rows(terms, freqs)
     levels = _levels(base_cfg)
-    entries = []
-    for f in frequencies:
-        freq = f.value
+    return SweepResult(tuple(zip(frequencies, [PowerBreakdown(row, levels) for row in rows])))
+
+
+def _column_rows(terms: tuple, freqs: list) -> list:
+    """The rows of ``freqs``, each term evaluated over the whole column first.
+
+    Raises a bare ValueError if some point fails; ``_point_rows`` says which."""
+    (mixer_mw, mixer_ex), (osc_mw, osc_ex), *pa = [_dcs(term, freqs) for term in terms]
+    pa_mw, pa_ex = pa[0] if pa else (repeat(0.0), repeat(False))
+    rows = [_row(f, p, o, m, flags) for f, p, o, m, flags
+            in zip(freqs, pa_mw, osc_mw, mixer_mw, zip(pa_ex, osc_ex, mixer_ex))]
+    if any(row[4] == inf for row in rows):
+        raise ValueError
+    return rows
+
+
+def _point_rows(terms: tuple, freqs: list) -> list:
+    """The rows of ``freqs`` point by point; a failure names its frequency.
+
+    At each point the mixer, the oscillator and the PA are range-checked in
+    that order, then the total: the order in which failures are reported."""
+    mixer, osc, *pa = terms
+    rows = []
+    for freq in freqs:
         try:
-            # Mixer, oscillator, PA: the order in which unphysical fits are reported.
-            (mixer_mw, mixer_ex), (osc_mw, osc_ex) = _dc(mixer, freq), _dc(osc_term, freq)
-            pa_mw, pa_ex = _dc(pa_term[0], freq) if pa_term else (0.0, False)
-            row = _finite(_row(freq, pa_mw, osc_mw, mixer_mw, (pa_ex, osc_ex, mixer_ex)))
+            (mixer_mw, mixer_ex), (osc_mw, osc_ex) = _dc(mixer, freq), _dc(osc, freq)
+            pa_mw, pa_ex = _dc(pa[0], freq) if pa else (0.0, False)
+            rows.append(_finite(_row(freq, pa_mw, osc_mw, mixer_mw, (pa_ex, osc_ex, mixer_ex))))
         except ValueError as exc:
             raise ValueError(f"sweep failed at {freq} GHz: {exc}") from None
-        entries.append((f, PowerBreakdown(row, levels)))
-    return SweepResult(tuple(entries))
+    return rows
 
 
 def recommend_frequency(
@@ -346,15 +373,18 @@ SWEEP_CSV_COLUMNS = (
 )
 
 
+_CSV_HEADER = ",".join(SWEEP_CSV_COLUMNS) + "\n"
+_CSV_ROW = "%r,%r,%r,%r,%r,%r,%r,%r,%s\n"
+
+
 def breakdowns_to_csv(breakdowns: Sequence[PowerBreakdown]) -> str:
     """Plot-ready CSV for any row sequence (a sweep, or stacked sweeps).
 
-    The csv module writes the rows' floats in shortest round-trip form."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_COLUMNS)
-    writer.writerows(bd.row for bd in breakdowns)
-    return out.getvalue()
+    Numbers are written by ``repr``, the shortest form that reads back to
+    the same float. No field ever needs quoting: every field is a number
+    or an extrapolated-blocks cell, block tokens joined by ";", which
+    holds no comma, quote or line break."""
+    return _CSV_HEADER + "".join([_CSV_ROW % bd.row for bd in breakdowns])
 
 
 def breakdown_to_dict(bd: PowerBreakdown) -> dict:

@@ -1,10 +1,16 @@
+import csv
+import io
+import itertools
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wnocpower.blocks import MixerModel, OscModel, PaModel
 from wnocpower.chain import (
+    _FLAG_TOKENS,
     ChainConfig,
     NoAdmissiblePointError,
     SWEEP_CSV_COLUMNS,
@@ -13,6 +19,7 @@ from wnocpower.chain import (
     breakdowns_to_csv,
     chain_breakdown,
     dominance_report,
+    frequency_grid,
     recommend_frequency,
     sweep,
 )
@@ -402,3 +409,122 @@ def test_recommend_ranks_subnormal_pae_points_last():
     f, bd = recommend_frequency(pa, osc, mix, cfg(pa_out=0.0), FrequencyGhz(10.0),
                                 FrequencyGhz(300.0))
     assert f.value == 10.0 and bd.total_mw.value < float("inf")
+
+
+# --- column sweep, first failure and the CSV writer --------------------------------
+
+
+def pointwise(pa, osc, mix, base, freqs):
+    """``chain_breakdown`` at each frequency, in order: the rows, or the first failing
+    frequency and its message."""
+    from dataclasses import replace
+
+    rows = []
+    for f in freqs:
+        try:
+            rows.append(chain_breakdown(pa, osc, mix, replace(base, frequency=f)))
+        except ValueError as exc:
+            return f, str(exc)
+    return rows
+
+
+def sweep_or_message(pa, osc, mix, base, freqs):
+    try:
+        return [bd for _f, bd in sweep(pa, osc, mix, base, freqs)]
+    except ValueError as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("case", [
+    # the oscillator efficiency passes 1 above ~69.3 GHz, the mixer FoM overflows above ~190 GHz
+    dict(pa=None, osc=(0.5, 0.01), mix=(1e300, 0.1), mixer_out=-10.0, needle="OSC fit at"),
+    # the mixer draw overflows above ~178.6 GHz, the oscillator turns unphysical above ~231 GHz
+    dict(pa=None, osc=(0.5, 0.003), mix=(1e-300, -0.1), mixer_out=0.0, needle="finite"),
+    # from 237.5 GHz both the mixer FoM (e^712.5) and the oscillator efficiency are unphysical
+    dict(pa=None, osc=(0.5, 0.00292), mix=(1.0, 3.0), mixer_out=-10.0, needle="MIXER fit at"),
+    # PA and oscillator both unphysical from ~69.3 GHz: the oscillator is named
+    dict(pa=(50.0, 0.01), osc=(0.5, 0.01), mix=(0.1, 0.0), mixer_out=-10.0, needle="OSC fit at"),
+    # PAE = 50 e^{-5 f} % is a subnormal 1.8e-308 % at 142.5 GHz, where the PA draw is inf
+    dict(pa=(50.0, -5.0), osc=(0.5, 0.0), mix=(0.1, 0.0), mixer_out=-10.0, needle="finite"),
+], ids=["osc-before-mixer", "overflow-before-unphysical", "two-faults-one-frequency",
+        "pa-and-osc-at-once", "subnormal-pae"])
+def test_sweep_reports_the_first_failure_as_pointwise_breakdowns_do(case):
+    pa = PaModel(fit(*case["pa"])) if case["pa"] else None
+    osc, mix = OscModel(fit(*case["osc"])), MixerModel(fit(*case["mix"]))
+    base = cfg(mixer_out=case["mixer_out"], pa_out=None if pa is None else 5.0 + case["mixer_out"])
+    freqs = [FrequencyGhz(10.0 + 2.5 * i) for i in range(97)]  # 10 .. 250 GHz
+    f, message = pointwise(pa, osc, mix, base, freqs)
+    assert case["needle"] in message and f != freqs[0]
+    assert sweep_or_message(pa, osc, mix, base, freqs) == f"sweep failed at {f.value} GHz: {message}"
+
+
+def valid_fits():
+    positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+    a = st.one_of(st.floats(1e-3, 200.0), st.floats(min_value=0.0, max_value=1e-300,
+                                                    exclude_min=True), positive)
+    b = st.one_of(st.floats(-3.0, 6.0), st.floats(allow_nan=False, allow_infinity=False))
+    span = st.lists(st.floats(0.5, 400.0), min_size=2, max_size=2, unique=True).map(sorted)
+    return st.builds(lambda a, b, span: fit(a, b, *span), a, b, span)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pa_fit=valid_fits(), osc_fit=valid_fits(), mix_fit=valid_fits(),
+       with_pa=st.booleans(), mixer_out=st.sampled_from([-30.0, -10.0, 0.0, 30.0]),
+       grid=st.lists(st.floats(0.5, 400.0), min_size=1, max_size=40, unique=True).map(sorted))
+def test_sweep_equals_pointwise_breakdowns_for_any_model_numbers(pa_fit, osc_fit, mix_fit,
+                                                                  with_pa, mixer_out, grid):
+    pa, osc, mix = PaModel(pa_fit), OscModel(osc_fit), MixerModel(mix_fit)
+    base = cfg(mixer_out=mixer_out, pa_out=mixer_out + 5.0 if with_pa else None)
+    freqs = [FrequencyGhz(f) for f in grid]
+    expected = pointwise(pa, osc, mix, base, freqs)
+    got = sweep_or_message(pa, osc, mix, base, freqs)
+    if isinstance(expected, list):
+        assert got == expected and breakdowns_to_csv(got) == breakdowns_to_csv(expected)
+    else:
+        # The sweep fails at the same frequency, and says what a sweep of that one point
+        # says. A block draw past the float range ends chain_breakdown at once, where a
+        # sweep first range-checks every block, so the two messages can differ there.
+        f, _message = expected
+        assert got == sweep_or_message(pa, osc, mix, base, [f])
+        assert got.startswith(f"sweep failed at {f.value} GHz: ")
+
+
+def stdlib_csv(breakdowns):
+    """The CSV as the csv module writes it: the oracle of ``breakdowns_to_csv``."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(SWEEP_CSV_COLUMNS)
+    writer.writerows(bd.row for bd in breakdowns)
+    return out.getvalue()
+
+
+def test_csv_matches_the_stdlib_csv_writer():
+    rows = []
+    for flags in itertools.product((False, True), repeat=3):  # every extrapolated-blocks cell
+        pa, osc, mix = (model(fit(value, lo=100.0 if flagged else 1.0))
+                        for model, value, flagged in zip((PaModel, OscModel, MixerModel),
+                                                         (50.0, 0.5, 0.1), flags))
+        rows.append(chain_breakdown(pa, osc, mix, cfg(freq=60.0)))
+    assert {bd.row[8] for bd in rows} == set(_FLAG_TOKENS.values())
+    _, osc, mix = constant_models()
+    rows.append(chain_breakdown(None, osc, mix, cfg(freq=60, pa_out=None)))  # int GHz, no PA
+    assert rows[-1].row[0] == 60 and type(rows[-1].row[0]) is int and rows[-1].row[1] == 0.0
+    # a mixer FoM of 1e300 1/mW at a 1e-9.5 gain draws a subnormal 3e-310 mW,
+    # and one of 1e-300 1/mW at unit gain draws 1e300 mW
+    rows.append(chain_breakdown(None, osc, MixerModel(fit(1e300)),
+                                cfg(mixer_out=-100.0, p_if=-5.0, pa_out=None)))
+    assert 0.0 < rows[-1].row[3] < sys.float_info.min
+    rows.append(chain_breakdown(None, osc, MixerModel(fit(1e-300)),
+                                cfg(mixer_out=0.0, p_if=0.0, pa_out=None)))
+    assert rows[-1].row[3] == pytest.approx(1e300)
+    text = breakdowns_to_csv(rows)
+    assert text == stdlib_csv(rows)
+    assert breakdowns_to_csv([]) == stdlib_csv([]) == ",".join(SWEEP_CSV_COLUMNS) + "\n"
+
+
+@pytest.mark.parametrize("lo, hi", [(1.0, math.inf), (math.nan, 100.0), (-math.inf, 5.0),
+                                    (5.0, math.nan), (math.inf, math.inf)])
+def test_frequency_grid_rejects_non_finite_ends_by_name(lo, hi):
+    bad = lo if not math.isfinite(lo) else hi
+    with pytest.raises(ValueError, match=rf"^frequency range ends must be finite \(got {bad} GHz\)$"):
+        frequency_grid(lo, hi, 5)

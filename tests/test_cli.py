@@ -558,6 +558,17 @@ def test_sweep_checks_the_whole_grid_before_the_first_row(models, tmp_path, caps
     assert list(tmp_path.glob("*s.csv*")) == []
 
 
+@pytest.mark.parametrize("spec, shown", [("1:inf:5", "inf"), ("nan:100:5", "nan"),
+                                         ("-inf:100:5", "-inf"), ("1:nan:5", "nan")])
+def test_sweep_range_with_a_non_finite_end_names_it(models, tmp_path, capsys, spec, shown):
+    out = tmp_path / "s.csv"
+    code = main(["sweep", *model_flags(models), f"--range={spec}", "--p-mixer-out", "-5",
+                 "--out", str(out)])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == f"error: frequency range ends must be finite (got {shown} GHz)\n"
+    assert list(tmp_path.glob("*s.csv*")) == []
+
+
 def test_sweep_out_of_memory_is_a_one_line_data_error(models, tmp_path, capsys, monkeypatch):
     import wnocpower.cli as cli
 
