@@ -83,8 +83,8 @@ def _dcs(term: _Term, freqs: Sequence[float]) -> tuple[list, list]:
     """``_dc`` over a column of frequencies: the powers and the extrapolation flags.
 
     The same expressions in the same order, with the term's fields read
-    once. Raises at the first f of the column where ``_dc`` raises."""
-    kind, fit, num, scale, fom_lo, fom_hi = term
+    once. Where ``_dc`` raises, at an unphysical FoM, the power is inf."""
+    _kind, fit, num, scale, fom_lo, fom_hi = term
     a, b, valid_lo, valid_hi = fit.a, fit.b, fit.valid_lo.value, fit.valid_hi.value
     powers = []
     for f in freqs:
@@ -92,9 +92,7 @@ def _dcs(term: _Term, freqs: Sequence[float]) -> tuple[list, list]:
             fom = a * exp(b * f)
         except OverflowError:
             fom = inf
-        if not fom_lo < fom < inf or fom > fom_hi:
-            _check_metric(kind, fom, f)
-        denominator = scale * fom
+        denominator = scale * fom if fom_lo < fom < inf and fom <= fom_hi else 0.0
         powers.append(num / denominator if denominator else inf)
     return powers, [f < valid_lo or f > valid_hi for f in freqs]
 
@@ -145,6 +143,15 @@ def _mixer_numerator(p_if_in: PowerDbm, p_rf_out: PowerDbm) -> float:
     return dbm_to_mw(p_rf_out).value / dbm_to_mw(p_if_in).value
 
 
+def _block_dc(term: _Term, f: FrequencyGhz) -> tuple[PowerMilliwatt, bool]:
+    """``_dc`` at f as a power; a draw past the float range is an error naming the block."""
+    mw, extrapolated = _dc(term, f.value)
+    if mw == inf:
+        raise ValueError(f"{term.kind.token} draw at {f.value} GHz: "
+                         "power in mW must be finite (got inf)")
+    return PowerMilliwatt(mw), extrapolated
+
+
 def pa_dc_power(
     m: PaModel, f: FrequencyGhz, p_in: PowerDbm, p_out: PowerDbm
 ) -> tuple[PowerMilliwatt, bool]:
@@ -155,8 +162,7 @@ def pa_dc_power(
     (0, 100] percent (100 is the ideal-efficiency floor where
     P_DC = P_out - P_in exactly).
     """
-    mw, extrapolated = _dc(_term(m.kind, m.pae_fit, _pa_numerator(p_in, p_out)), f.value)
-    return PowerMilliwatt(mw), extrapolated
+    return _block_dc(_term(m.kind, m.pae_fit, _pa_numerator(p_in, p_out)), f)
 
 
 def osc_dc_power(
@@ -167,8 +173,7 @@ def osc_dc_power(
     The DC-to-RF efficiency must land in (0, 1], so the result is never
     below the delivered RF power.
     """
-    mw, extrapolated = _dc(_term(m.kind, m.eff_fit, dbm_to_mw(p_rf).value), f.value)
-    return PowerMilliwatt(mw), extrapolated
+    return _block_dc(_term(m.kind, m.eff_fit, dbm_to_mw(p_rf).value), f)
 
 
 def mixer_dc_power(
@@ -180,8 +185,7 @@ def mixer_dc_power(
     below one) divided by the gain-per-mW figure of merit gives the DC
     draw.
     """
-    mw, extrapolated = _dc(_term(m.kind, m.fom_fit, _mixer_numerator(p_if_in, p_rf_out)), f.value)
-    return PowerMilliwatt(mw), extrapolated
+    return _block_dc(_term(m.kind, m.fom_fit, _mixer_numerator(p_if_in, p_rf_out)), f)
 
 
 def conversion_gain_db(p_if_in: PowerDbm, p_rf_out: PowerDbm) -> float:

@@ -12,7 +12,9 @@ evaluated by one function (``blocks._dc``, or ``blocks._dcs`` over a column
 of frequencies). On top of single-point breakdowns the module provides
 frequency sweeps, the exact minimum-power operating frequency (the total
 is a sum of positive exponentials, hence convex), and a per-frequency
-dominant-block report.
+dominant-block report. Only ``chain_breakdown`` names a fault at a point:
+a sweep or a recommendation that fails reports what it says there, so the
+three commands name the same fault for the same inputs.
 """
 
 from __future__ import annotations
@@ -218,16 +220,17 @@ def chain_breakdown(
     """Evaluate the full chain at one operating point.
 
     The PA stage is present exactly when ``cfg.p_pa_out`` is set; in that
-    case a PA model is required. Block evaluation errors propagate. A
-    single point goes through the public block functions; sweeps and
-    recommendations call the evaluator under them on the chain's terms.
+    case a PA model is required. This is the one place that names a fault
+    at a point, in this order: the levels and the PA model (``_terms``),
+    then the mixer, the oscillator and the PA at the frequency, then the
+    total. A single point goes through the public block functions; sweeps
+    and recommendations call the evaluator under them on the chain's terms.
     """
+    _terms(pa, osc, mix, cfg)
     mixer, mixer_ex = mixer_dc_power(mix, cfg.frequency, cfg.p_if_in, cfg.p_mixer_out)
     osc_part, osc_ex = osc_dc_power(osc, cfg.frequency, cfg.p_osc_rf)
     pa_part, pa_ex = PowerMilliwatt(0.0), False
     if cfg.p_pa_out is not None:
-        if pa is None:
-            raise ValueError("config requests a PA stage but no PA model was provided")
         pa_part, pa_ex = pa_dc_power(pa, cfg.frequency, cfg.p_mixer_out, cfg.p_pa_out)
     row = _row(cfg.frequency.value, pa_part.value, osc_part.value, mixer.value,
                (pa_ex, osc_ex, mixer_ex))
@@ -243,17 +246,19 @@ def sweep(
 ) -> SweepResult:
     """Evaluate the chain on a strictly increasing frequency grid.
 
-    All other config parameters stay fixed. A block failure, or a power
-    that overflows, is reported with the offending frequency.
+    All other config parameters stay fixed. A point fails exactly where
+    its total is inf; the first such frequency is reported with what
+    ``chain_breakdown`` says there.
     """
     if len(frequencies) == 0:
         raise ValueError("sweep needs at least one frequency")
-    terms = _terms(pa, osc, mix, base_cfg)
-    freqs = [f.value for f in frequencies]
-    try:
-        rows = _column_rows(terms, freqs)
-    except ValueError:  # some point failed: walk them again, in order, to name the first
-        rows = _point_rows(terms, freqs)
+    rows = _column_rows(_terms(pa, osc, mix, base_cfg), [f.value for f in frequencies])
+    failed = next((f for f, row in zip(frequencies, rows) if row[4] == inf), None)
+    if failed is not None:
+        try:
+            chain_breakdown(pa, osc, mix, replace(base_cfg, frequency=failed))
+        except ValueError as exc:
+            raise ValueError(f"sweep failed at {failed.value} GHz: {exc}") from None
     levels = _levels(base_cfg)
     return SweepResult(tuple(zip(frequencies, [PowerBreakdown(row, levels) for row in rows])))
 
@@ -261,31 +266,12 @@ def sweep(
 def _column_rows(terms: tuple, freqs: list) -> list:
     """The rows of ``freqs``, each term evaluated over the whole column first.
 
-    Raises a bare ValueError if some point fails; ``_point_rows`` says which."""
+    A point where ``chain_breakdown`` raises has an inf total: the same
+    arithmetic, with ``blocks._dcs`` giving inf where ``blocks._dc`` raises."""
     (mixer_mw, mixer_ex), (osc_mw, osc_ex), *pa = [_dcs(term, freqs) for term in terms]
     pa_mw, pa_ex = pa[0] if pa else (repeat(0.0), repeat(False))
-    rows = [_row(f, p, o, m, flags) for f, p, o, m, flags
+    return [_row(f, p, o, m, flags) for f, p, o, m, flags
             in zip(freqs, pa_mw, osc_mw, mixer_mw, zip(pa_ex, osc_ex, mixer_ex))]
-    if any(row[4] == inf for row in rows):
-        raise ValueError
-    return rows
-
-
-def _point_rows(terms: tuple, freqs: list) -> list:
-    """The rows of ``freqs`` point by point; a failure names its frequency.
-
-    At each point the mixer, the oscillator and the PA are range-checked in
-    that order, then the total: the order in which failures are reported."""
-    mixer, osc, *pa = terms
-    rows = []
-    for freq in freqs:
-        try:
-            (mixer_mw, mixer_ex), (osc_mw, osc_ex) = _dc(mixer, freq), _dc(osc, freq)
-            pa_mw, pa_ex = _dc(pa[0], freq) if pa else (0.0, False)
-            rows.append(_finite(_row(freq, pa_mw, osc_mw, mixer_mw, (pa_ex, osc_ex, mixer_ex))))
-        except ValueError as exc:
-            raise ValueError(f"sweep failed at {freq} GHz: {exc}") from None
-    return rows
 
 
 def recommend_frequency(

@@ -392,11 +392,11 @@ def test_subnormal_pae_draws_infinite_power():
     _, osc, mix = constant_models()
     base = cfg(pa_out=0.0)
     assert 0.01 * pa.pae_fit.a == 0.0
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match="^PA draw at 60.0 GHz: .*must be finite"):
         chain_breakdown(pa, osc, mix, base)
-    with pytest.raises(ValueError, match="sweep failed at 60.0 GHz: .*must be finite"):
+    with pytest.raises(ValueError, match="sweep failed at 60.0 GHz: PA draw at .*must be finite"):
         sweep(pa, osc, mix, base, [FrequencyGhz(60.0)])
-    with pytest.raises(ValueError, match="must be finite"):
+    with pytest.raises(ValueError, match="PA draw at .*must be finite"):
         recommend_frequency(pa, osc, mix, base, FrequencyGhz(10.0), FrequencyGhz(100.0))
 
 
@@ -446,8 +446,12 @@ def sweep_or_message(pa, osc, mix, base, freqs):
     dict(pa=(50.0, 0.01), osc=(0.5, 0.01), mix=(0.1, 0.0), mixer_out=-10.0, needle="OSC fit at"),
     # PAE = 50 e^{-5 f} % is a subnormal 1.8e-308 % at 142.5 GHz, where the PA draw is inf
     dict(pa=(50.0, -5.0), osc=(0.5, 0.0), mix=(0.1, 0.0), mixer_out=-10.0, needle="finite"),
+    # from 70 GHz the mixer FoM is a subnormal 1.6e-312 1/mW, whose draw at -30 dBm out is
+    # inf, and the oscillator efficiency passes 1: the mixer draw is named
+    dict(pa=None, osc=(0.5, 0.01), mix=(1e-251, -2.0), mixer_out=-30.0,
+         needle="MIXER draw at 70.0 GHz: power in mW must be finite"),
 ], ids=["osc-before-mixer", "overflow-before-unphysical", "two-faults-one-frequency",
-        "pa-and-osc-at-once", "subnormal-pae"])
+        "pa-and-osc-at-once", "subnormal-pae", "mixer-draw-overflow-and-osc-at-once"])
 def test_sweep_reports_the_first_failure_as_pointwise_breakdowns_do(case):
     pa = PaModel(fit(*case["pa"])) if case["pa"] else None
     osc, mix = OscModel(fit(*case["osc"])), MixerModel(fit(*case["mix"]))
@@ -481,12 +485,8 @@ def test_sweep_equals_pointwise_breakdowns_for_any_model_numbers(pa_fit, osc_fit
     if isinstance(expected, list):
         assert got == expected and breakdowns_to_csv(got) == breakdowns_to_csv(expected)
     else:
-        # The sweep fails at the same frequency, and says what a sweep of that one point
-        # says. A block draw past the float range ends chain_breakdown at once, where a
-        # sweep first range-checks every block, so the two messages can differ there.
-        f, _message = expected
-        assert got == sweep_or_message(pa, osc, mix, base, [f])
-        assert got.startswith(f"sweep failed at {f.value} GHz: ")
+        f, message = expected
+        assert got == f"sweep failed at {f.value} GHz: {message}"
 
 
 def stdlib_csv(breakdowns):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +11,8 @@ from wnocpower.survey import BlockKind
 from wnocpower.units import FrequencyGhz
 
 BUNDLE = default_bundle()
+# The outputs of the README commands on the shipped surveys, as the CI step runs them.
+GOLDEN = Path(__file__).parent / "data" / "bundle"
 
 
 @pytest.fixture()
@@ -324,6 +327,43 @@ def test_breakdown_unrepresentable_power_is_data_error(models, capsys, levels):
     assert code == EXIT_DATA
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "dBm" in err
+
+
+@pytest.mark.parametrize("command", [
+    ["breakdown", "--freq", "60"],
+    ["sweep", "--freqs", "30,60", "--out", "sweep.csv"],
+    ["recommend", "--range", "20:140"],
+])
+def test_two_unrepresentable_levels_name_the_same_one_in_every_command(models, tmp_path, capsys,
+                                                                        monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    levels = ["--p-mixer-out", "4000", "--p-osc-rf", "5000"]
+    assert main([*command, *model_flags(models), *levels]) == EXIT_DATA
+    assert capsys.readouterr().err == "error: 5000.0 dBm overflows a float in mW\n"
+
+
+def test_readme_commands_write_the_golden_bundle_bytes(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    for kind, csv_path, out in (("PA", BUNDLE.pa_csv, "pa.json"),
+                                ("OSC", BUNDLE.oscillator_csv, "osc.json"),
+                                ("MIXER", BUNDLE.mixer_csv, "mix.json")):
+        assert main(["fit", str(csv_path), "--block", kind, "--out", out]) == EXIT_OK
+    models = ["--pa-model", "pa.json", "--osc-model", "osc.json", "--mixer-model", "mix.json"]
+    capsys.readouterr()
+    assert main(["breakdown", *models, "--freq", "60", "--p-if", "-5", "--p-mixer-out", "-10",
+                 "--p-pa-out", "0", "--p-osc-rf", "0",
+                 "--out-csv", "breakdown.csv", "--out-json", "breakdown.json"]) == EXIT_OK
+    (tmp_path / "breakdown.stdout").write_bytes(capsys.readouterr().out.encode())
+    assert main(["sweep", *models, "--levels", "-15,-10,-5,0", "--freqs", "30,60,140,243",
+                 "--p-pa-out", "5", "--out", "sweep.csv"]) == EXIT_OK
+    capsys.readouterr()
+    assert main(["recommend", *models, "--range", "20:140", "--p-mixer-out", "-5",
+                 "--p-pa-out", "0"]) == EXIT_OK
+    (tmp_path / "recommend.stdout").write_bytes(capsys.readouterr().out.encode())
+    golden = sorted(GOLDEN.iterdir())
+    assert len(golden) == 8
+    for path in golden:
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def test_cli_import_does_not_load_numpy():
