@@ -102,7 +102,8 @@ def _admissible(term: _Term, lo: float, hi: float, allow_extrapolation: bool) ->
     where its figure of merit is physical; (inf, -inf) if that is nowhere.
 
     FoM(f) = a * exp(b * f) is monotone, so that is one interval. The
-    closed-form f where the FoM reaches its top bounds it, and the range
+    closed-form f where the FoM reaches its top bounds it; if neither end
+    is physical, the one where it is half its top lies inside. The range
     check of the evaluator settles both ends to the float."""
     def ok(f: float) -> bool:  # the range check of _dc
         fom = _evaluate(term.fit, f)[0]
@@ -110,10 +111,12 @@ def _admissible(term: _Term, lo: float, hi: float, allow_extrapolation: bool) ->
 
     if not allow_extrapolation:
         lo, hi = max(lo, term.fit.valid_lo.value), min(hi, term.fit.valid_hi.value)
+    half = inf
     if term.fit.b:  # an upper bound for a rising FoM, a lower one for a falling FoM
         top = log(term.fom_hi / term.fit.a) / term.fit.b
+        half = log(term.fom_hi / 2 / term.fit.a) / term.fit.b
         lo, hi = (lo, min(hi, top)) if term.fit.b > 0 else (max(lo, top), hi)
-    good = next((f for f in (lo, hi, lo + (hi - lo) / 2) if lo <= hi and ok(f)), None)
+    good = next((f for f in (lo, hi, half) if lo <= f <= hi and ok(f)), None)
     return (inf, -inf) if good is None else (_edge(ok, good, lo), _edge(ok, good, hi))
 
 

@@ -20,7 +20,7 @@ three commands name the same fault for the same inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice, pairwise, product, repeat
+from itertools import pairwise, product, repeat
 from math import inf, isfinite
 from typing import Iterable, Iterator, Sequence
 
@@ -290,10 +290,10 @@ def recommend_frequency(
     total is convex for any signs of the rates and its minimum is found
     exactly. The admissible frequencies are one interval: [lo, hi], inside
     every used model's validity range unless ``allow_extrapolation`` is
-    set, where every figure of merit is physical. A scan of ``n_grid``
-    uniformly spaced points across that interval (endpoints included)
-    brackets the minimum, and bisection on the slope of the total refines
-    it to the float. Ties prefer the lower frequency.
+    set, where every figure of merit is physical. One bisection on the
+    slope of the total over that interval finds the minimum to the float.
+    Exact ties, where every rate is 0, go to the lower end. ``n_grid`` is
+    checked (>= 2) and does not change the answer.
     """
     frequency_grid(lo.value, hi.value, n_grid)  # checks the range and the grid size
     terms = _terms(pa, osc, mix, base_cfg)
@@ -303,7 +303,7 @@ def recommend_frequency(
             "has every figure of merit physical" if allow_extrapolation else
             "is inside all model validity ranges with every figure of merit physical; "
             "pass allow_extrapolation to search anyway"))
-    f_best = FrequencyGhz(_argmin(terms, f_lo, f_hi, n_grid))
+    f_best = FrequencyGhz(_argmin(terms, f_lo, f_hi))
     return f_best, chain_breakdown(pa, osc, mix, replace(base_cfg, frequency=f_best))
 
 
@@ -314,24 +314,17 @@ def _admissible_interval(terms: tuple, lo: float, hi: float, allow_extrapolation
     return lo, hi
 
 
-def _argmin(terms: tuple, lo: float, hi: float, n: int) -> float:
+def _argmin(terms: tuple, lo: float, hi: float) -> float:
     """The least f in [lo, hi] that minimises the convex total T of ``terms``.
 
-    Every point of [lo, hi] is admissible. The best of ``n`` nodes brackets
-    the minimum, and bisection on the slope T'(f) = sum(-b_i * P_i(f)) finds
-    the last float where it is negative, or the lower end if it is not."""
-    def total(f: float) -> float:
-        return sum([_dc(t, f)[0] for t in terms])
-
+    Every point of [lo, hi] is admissible. T is convex, so its slope
+    T'(f) = sum(-b_i * P_i(f)) is negative on one interval from ``lo``: one
+    bisection finds the last float of it, or the answer is ``lo`` if the
+    slope there is not negative (every rate 0, an exact tie, included)."""
     def falling(f: float) -> bool:  # T'(f) < 0; a rate of 0 adds nothing, even to an inf power
         return sum([t.fit.b * _dc(t, f)[0] for t in terms if t.fit.b]) > 0
 
-    if lo == hi:
-        return lo
-    # The first of equal totals wins: the lowest frequency. The grid is not held in memory.
-    k = min(enumerate(frequency_grid(lo, hi, n)), key=lambda node: total(node[1]))[0]
-    left, *_, right = islice(frequency_grid(lo, hi, n), max(k - 1, 0), k + 2)
-    return _edge(falling, left, right) if falling(left) else left
+    return _edge(falling, lo, hi) if lo < hi and falling(lo) else lo
 
 
 def dominance_report(result: SweepResult) -> list[tuple[FrequencyGhz, BlockKind]]:

@@ -436,7 +436,7 @@ def build_parser() -> _Parser:
     p.add_argument("--range", type=_colon_spec(float, float), required=True, metavar="LO:HI",
                    help="search range in GHz")
     p.add_argument("--n-grid", type=int, default=64,
-                   help="points of the coarse scan that brackets the exact minimum (default 64)")
+                   help="checked (>= 2) but no effect on the answer (default 64)")
     p.add_argument("--allow-extrapolation", action="store_true",
                    help="admit frequencies outside the models' fitted ranges")
     _add_scenario_flags(p)

@@ -147,8 +147,8 @@ class BinnedMax:
 
     def __post_init__(self) -> None:
         # Up to 2**53 a bin count is exact as a float and the bin index cannot overflow.
-        if not 1 <= self.bins <= 2**53:
-            raise ValueError(f"bin count must be in [1, 2**53] (got {self.bins})")
+        if type(self.bins) is not int or not 1 <= self.bins <= 2**53:
+            raise ValueError(f"bin count must be an int in [1, 2**53] (got {self.bins!r})")
 
     @property
     def tag(self) -> str:
@@ -156,15 +156,6 @@ class BinnedMax:
 
 
 FrontierStrategy = Union[ParetoUpper, BinnedMax]
-
-
-def strategy_from_tag(tag: str) -> FrontierStrategy:
-    """Inverse of the strategy ``tag`` property, for model files and CLI."""
-    if tag == "pareto-upper":
-        return ParetoUpper()
-    if tag.startswith("binned-max:"):
-        return BinnedMax(bins=int(tag.split(":", 1)[1]))
-    raise ValueError(f"unknown frontier strategy tag {tag!r}")
 
 
 def _pareto_upper_indices(records: tuple[SurveyRecord, ...]) -> list[int]:
@@ -239,13 +230,13 @@ def parse_survey_csv(source: Union[str, bytes, IO[str], IO[bytes]]) -> SurveyDat
         except UnicodeDecodeError as exc:
             raise SurveyFormatError(f"survey CSV is not valid UTF-8: {exc}") from None
 
-    reader = csv.reader(io.StringIO(source))
+    reader = csv.reader(io.StringIO(source), strict=True)
     header: list[str] | None = None
     records: list[SurveyRecord] = []
     kind: BlockKind | None = None
     col: dict[str, int] = {}
 
-    for row in reader:
+    for row in _records(reader):
         line = reader.line_num
         if not row or (row[0].lstrip().startswith("#")) or all(not c.strip() for c in row):
             continue
@@ -300,6 +291,17 @@ def parse_survey_csv(source: Union[str, bytes, IO[str], IO[bytes]]) -> SurveyDat
         return SurveyDataset(kind, tuple(records))
     except ValueError as exc:
         raise SurveyFormatError(str(exc)) from None
+
+
+def _records(reader) -> Iterator[list[str]]:
+    """The reader's records; malformed CSV is a SurveyFormatError naming its first row."""
+    start = 1
+    try:
+        for row in reader:
+            yield row
+            start = reader.line_num + 1
+    except csv.Error as exc:
+        raise SurveyFormatError(f"row {start}: malformed CSV ({exc})") from None
 
 
 def _parse_number(cell: str, name: str) -> float:

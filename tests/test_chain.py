@@ -6,7 +6,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wnocpower.blocks import MixerModel, OscModel, PaModel
 from wnocpower.chain import (
@@ -253,6 +253,21 @@ def test_recommend_validates_arguments():
         recommend_frequency(pa, osc, mix, cfg(), FrequencyGhz(10.0), FrequencyGhz(100.0), n_grid=1)
 
 
+def test_recommend_finds_a_physical_band_narrower_than_half_the_range():
+    # The efficiency e^{ln(a) - 10 f} is physical from its closed-form bound ln(a)/10 GHz up
+    # to ~(ln(a) + 745)/10 GHz, where it rounds to 0. Neither 400 GHz nor the midpoint of the
+    # range left above the bound is in that band, and for some a the bound rounds below it.
+    mix = MixerModel(fit(1.0))
+    base = cfg(osc_rf=-30.0, pa_out=None)
+    for ln_a in [601.2] + [600.0 + 90.0 * i / 299 for i in range(300)]:
+        osc = OscModel(fit(math.exp(ln_a), b=-10.0))
+        f, bd = recommend_frequency(None, osc, mix, base, FrequencyGhz(1.0), FrequencyGhz(400.0),
+                                    allow_extrapolation=True)
+        eff = lambda f: osc.eff_fit.a * math.exp(-10.0 * f)  # noqa: E731
+        assert eff(f.value) <= 1.0 and f.value == pytest.approx(ln_a / 10.0, rel=1e-12), ln_a
+        assert bd.total_mw.value < math.inf
+
+
 # --- dominance ----------------------------------------------------------------
 
 
@@ -487,6 +502,32 @@ def test_sweep_equals_pointwise_breakdowns_for_any_model_numbers(pa_fit, osc_fit
     else:
         f, message = expected
         assert got == f"sweep failed at {f.value} GHz: {message}"
+
+
+def recommend_or_message(pa, osc, mix, base, lo, hi, allow, n_grid):
+    try:
+        f, bd = recommend_frequency(pa, osc, mix, base, FrequencyGhz(lo), FrequencyGhz(hi),
+                                    n_grid=n_grid, allow_extrapolation=allow)
+    except ValueError as exc:
+        return str(exc)
+    return f, bd.row
+
+
+@settings(max_examples=200, deadline=None)
+@given(pa_fit=valid_fits(), osc_fit=valid_fits(), mix_fit=valid_fits(),
+       with_pa=st.booleans(), mixer_out=st.sampled_from([-30.0, -10.0, 0.0, 30.0]),
+       allow=st.booleans(),
+       span=st.lists(st.floats(0.5, 400.0), min_size=2, max_size=2, unique=True).map(sorted))
+# a flat 2 mW oscillator beside a falling ~3e-301 mW mixer draw: the total is one float
+@example(pa_fit=fit(50.0), osc_fit=fit(0.5), mix_fit=fit(1e300, b=0.01), with_pa=False,
+         mixer_out=-10.0, allow=False, span=[10.0, 100.0])
+def test_n_grid_does_not_change_the_recommendation(pa_fit, osc_fit, mix_fit, with_pa, mixer_out,
+                                                   allow, span):
+    pa, osc, mix = PaModel(pa_fit), OscModel(osc_fit), MixerModel(mix_fit)
+    base = cfg(mixer_out=mixer_out, pa_out=mixer_out + 5.0 if with_pa else None)
+    first, *rest = [recommend_or_message(pa, osc, mix, base, *span, allow, n)
+                    for n in (2, 64, 1001)]
+    assert all(other == first for other in rest), (first, rest)
 
 
 def stdlib_csv(breakdowns):

@@ -79,9 +79,11 @@ def test_breakdown_with_any_model_numbers_keeps_the_contract(workdir, kind, a, b
 
 @st.composite
 def surveys(draw):
-    """(kind, CSV text): rows whose frequencies cluster, within a few ulps, around one base."""
+    """(kind, CSV text): rows whose frequencies cluster, within a few ulps, around one base.
+    The second row's label may open an unclosed quote or pass the csv module's field limit."""
     kind = draw(st.sampled_from(sorted(SURVEYS)))
     base = draw(numbers(st.floats(0.5, 1000.0)))
+    odd = draw(st.sampled_from(["", '"', "x" * 131_072]))
     lines = ["block,frequency_ghz,metric,label"]
     for i in range(draw(st.integers(1, 6))):
         f = draw(st.one_of(st.just(base), numbers(st.floats(0.5, 1000.0))))
@@ -90,7 +92,7 @@ def surveys(draw):
         metric = draw(st.one_of(st.floats(0.0, min(METRIC_MAX[kind], 1e6), exclude_min=True),
                                 st.floats(min_value=0.0, max_value=METRIC_MAX[kind],
                                           exclude_min=True)))
-        lines.append(f"{kind},{f!r},{metric!r},r{i}")
+        lines.append(f"{kind},{f!r},{metric!r},{odd if i == 1 else ''}r{i}")
     return kind, "\n".join(lines) + "\n"
 
 

@@ -16,7 +16,6 @@ from wnocpower.survey import (
     filter_frequency,
     parse_survey_csv,
     serialize_survey_csv,
-    strategy_from_tag,
 )
 from wnocpower.units import FrequencyGhz
 
@@ -113,6 +112,28 @@ def test_parse_optional_columns():
 def test_parse_rejects_unknown_extra_column():
     with pytest.raises(SurveyFormatError, match="columns after label"):
         parse_survey_csv("block,frequency_ghz,metric,label,vendor\nPA,1,10,a,x\n")
+
+
+def test_parse_names_the_row_of_a_field_past_the_csv_size_limit():
+    text = HEADER + "PA,60.0,22.5,a\nPA,70.0,20.0," + "x" * 131_073 + "\n"
+    with pytest.raises(SurveyFormatError, match=r"^row 3: malformed CSV \(field larger"):
+        parse_survey_csv(text)
+
+
+def test_parse_rejects_an_unclosed_quote_instead_of_swallowing_the_rows_after_it():
+    rows = [f"PA,{10.0 * i},{20.0 + i},r{i}" for i in range(1, 6)]
+    rows[1] = 'PA,20.0,22.0,"b'
+    with pytest.raises(SurveyFormatError, match=r"^row 3: malformed CSV \(unexpected end of data"):
+        parse_survey_csv(HEADER + "\n".join(rows) + "\n")
+
+
+def test_serialize_parse_identity_with_quotes_and_line_breaks():
+    ds = SurveyDataset(BlockKind.OSCILLATOR, (
+        SurveyRecord(BlockKind.OSCILLATOR, FrequencyGhz(30.0), 0.3, 'a "quoted", label',
+                     "28nm CMOS", "first line\nsecond, line\r\nthird"),
+        SurveyRecord(BlockKind.OSCILLATOR, FrequencyGhz(35.0), 0.2, "b", None, '"'),
+    ))
+    assert parse_survey_csv(serialize_survey_csv(ds)) == ds
 
 
 def test_serialize_parse_identity():
@@ -239,11 +260,10 @@ def test_binned_max_rejects_bad_bin_count():
         BinnedMax(bins=0)
 
 
-def test_strategy_tags_round_trip():
-    assert strategy_from_tag(ParetoUpper().tag) == ParetoUpper()
-    assert strategy_from_tag(BinnedMax(bins=8).tag) == BinnedMax(bins=8)
-    with pytest.raises(ValueError):
-        strategy_from_tag("nearest-neighbor")
+@pytest.mark.parametrize("bins", [2.5, True, 8.0, "8"])
+def test_binned_max_requires_an_int_bin_count(bins):
+    with pytest.raises(ValueError, match=r"^bin count must be an int"):
+        BinnedMax(bins=bins)
 
 
 # --- frequency filter ------------------------------------------------------
