@@ -203,7 +203,7 @@ def _row(f: float, pa_mw: float, osc_mw: float, mixer_mw: float, flags: tuple) -
 def _finite(row: tuple) -> tuple:
     """``row``, unless a power in it overflowed: every part is >= 0, so the total shows it."""
     if row[4] == inf:
-        raise ValueError(f"power in mW must be finite and >= 0 (got {row[4]})")
+        raise ValueError(f"total draw at {row[0]} GHz: power in mW must be finite (got inf)")
     return row
 
 

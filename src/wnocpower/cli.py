@@ -20,7 +20,6 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from functools import partial
 from itertools import islice
@@ -81,57 +80,32 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-@dataclass(frozen=True)
-class RunManifest:
-    """Provenance record accompanying every emitted result file."""
+def _write_result(path: Path, write, args: argparse.Namespace, inputs: Sequence[Path]) -> None:
+    """Run ``write``, an atomic write of ``path``, then write its provenance manifest.
 
-    command: str
-    parameters: dict
-    input_digests: dict
-    tool_version: str = __version__
-    timestamp: str = field(
-        default_factory=lambda: datetime.now(timezone.utc).isoformat(timespec="seconds")
-    )
-
-    def write_for(self, output_path: Path) -> None:
-        text = json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
-        write_text_atomic(_manifest_path(output_path), text)
-
-
-def _manifest_path(output_path: Path) -> Path:
-    return Path(str(output_path) + ".manifest.json")
-
-
-def _write_result(path: Path, write, manifest: RunManifest) -> None:
-    """Run ``write``, an atomic write of ``path``, then write the manifest beside it.
-
-    A failed ``write`` leaves the old result and its manifest as they
-    were. A failed manifest write removes the old manifest, so a result
-    may lack one but no manifest describes another file.
+    The manifest, ``<path>.manifest.json``, accompanies every emitted
+    result file. It records the command, its resolved parameters, the
+    SHA-256 of each input file as read before ``write`` runs, the tool
+    version, and a UTC timestamp to the second. A failed ``write`` leaves
+    the old result and its manifest as they were. A failed manifest write
+    removes the old manifest, so a result may lack one but no manifest
+    describes another file.
     """
-    write()
-    try:
-        manifest.write_for(path)
-    except BaseException:
-        _manifest_path(path).unlink(missing_ok=True)
-        raise
-
-
-def _file_digest(path: Path) -> str:
-    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _manifest(args: argparse.Namespace, inputs: Sequence[Path]) -> RunManifest:
-    parameters = {
-        k: (str(v) if isinstance(v, Path) else v)
-        for k, v in vars(args).items()
-        if k != "func" and v is not None
+    manifest = {
+        "command": args.command,
+        "parameters": {k: (str(v) if isinstance(v, Path) else v)
+                       for k, v in vars(args).items() if k != "func" and v is not None},
+        "input_digests": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs},
+        "tool_version": __version__,
+        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
     }
-    return RunManifest(
-        command=args.command,
-        parameters=parameters,
-        input_digests={str(p): _file_digest(p) for p in inputs},
-    )
+    write()
+    sidecar = Path(f"{path}.manifest.json")
+    try:
+        write_text_atomic(sidecar, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    except BaseException:
+        sidecar.unlink(missing_ok=True)
+        raise
 
 
 # --- flag parsing helpers -------------------------------------------------
@@ -243,7 +217,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     data, model = fit_survey(args.survey_csv, block, strategy)
     digest = dataset_digest(data)
     _write_result(args.out, lambda: save_model(args.out, block, model, digest),
-                  _manifest(args, [args.survey_csv]))
+                  args, [args.survey_csv])
 
     unit = _METRIC_RANGE[block][2]
     print(f"fitted {block.token} model from {args.survey_csv}")
@@ -270,8 +244,7 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
     for path, render in outputs:
         if path is not None:
             text = render()
-            _write_result(path, lambda: write_text_atomic(path, text),
-                          _manifest(args, _model_inputs(args)))
+            _write_result(path, lambda: write_text_atomic(path, text), args, _model_inputs(args))
             print(f"wrote {path} and {path}.manifest.json")
     if args.strict and bd.any_extrapolated:
         return EXIT_EXTRAPOLATION
@@ -315,7 +288,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 header = False
 
     _write_result(args.out, lambda: write_text_atomic(args.out, chunks()),
-                  _manifest(args, _model_inputs(args)))
+                  args, _model_inputs(args))
     levels_txt = ", ".join(f"{lv:g} dBm" for lv in levels)
     print(
         f"swept {n} frequencies from {first:g} to {last:g} GHz "

@@ -219,7 +219,8 @@ _OPTIONAL_COLUMNS = ("technology_node", "notes")
 def parse_survey_csv(source: Union[str, bytes, IO[str], IO[bytes]]) -> SurveyDataset:
     """Parse a survey CSV into a validated dataset.
 
-    ``source`` may be text, UTF-8 bytes, or an open file in either mode.
+    ``source`` may be text, UTF-8 bytes, or an open file in either mode,
+    with or without a byte-order mark and with LF, CRLF or CR line ends.
     Malformed rows raise :class:`SurveyFormatError` naming the file row.
     """
     if hasattr(source, "read"):
@@ -230,7 +231,7 @@ def parse_survey_csv(source: Union[str, bytes, IO[str], IO[bytes]]) -> SurveyDat
         except UnicodeDecodeError as exc:
             raise SurveyFormatError(f"survey CSV is not valid UTF-8: {exc}") from None
 
-    reader = csv.reader(io.StringIO(source), strict=True)
+    reader = csv.reader(io.StringIO(source.removeprefix("\ufeff"), newline=""), strict=True)
     header: list[str] | None = None
     records: list[SurveyRecord] = []
     kind: BlockKind | None = None

@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -413,6 +414,17 @@ def test_subnormal_pae_draws_infinite_power():
         sweep(pa, osc, mix, base, [FrequencyGhz(60.0)])
     with pytest.raises(ValueError, match="PA draw at .*must be finite"):
         recommend_frequency(pa, osc, mix, base, FrequencyGhz(10.0), FrequencyGhz(100.0))
+
+
+def test_total_past_the_float_range_names_itself():
+    # each of the PA and oscillator draws is 1e308 mW, finite; their sum is inf
+    pa, osc, mix = PaModel(fit(100.0)), OscModel(fit(1.0)), MixerModel(fit(1.0))
+    base = cfg(pa_out=3080.0, osc_rf=3080.0)
+    message = "total draw at 60.0 GHz: power in mW must be finite (got inf)"
+    with pytest.raises(ValueError, match=rf"^{re.escape(message)}$"):
+        chain_breakdown(pa, osc, mix, base)
+    with pytest.raises(ValueError, match=rf"^sweep failed at 60.0 GHz: {re.escape(message)}$"):
+        sweep(pa, osc, mix, base, [FrequencyGhz(60.0)])
 
 
 def test_recommend_ranks_subnormal_pae_points_last():

@@ -405,13 +405,43 @@ def test_failed_write_leaves_no_partial_file_and_no_stale_manifest(models, tmp_p
     monkeypatch.undo()
 
     # a new result whose manifest cannot be written keeps no manifest of the old one
-    def fail(self, path):
-        raise OSError("disk full")
+    real_write = cli.write_text_atomic
 
-    monkeypatch.setattr(cli.RunManifest, "write_for", fail)
+    def fail(path, text):
+        if str(path).endswith(".manifest.json"):
+            raise OSError("disk full")
+        real_write(path, text)
+
+    monkeypatch.setattr(cli, "write_text_atomic", fail)
     assert run_sweep("-10", out) == EXIT_DATA
     assert out.read_bytes() != before[0]
     assert not manifest.exists()
+    capsys.readouterr()
+
+
+def test_manifest_records_exactly_its_five_keys_and_the_inputs_as_read(models, tmp_path,
+                                                                       capsys):
+    import hashlib
+
+    osc = tmp_path / "osc.json"
+    osc.write_bytes(models["OSC"].read_bytes())
+    digest = hashlib.sha256(osc.read_bytes()).hexdigest()
+    code = main(["breakdown", "--osc-model", str(osc), "--mixer-model", str(models["MIXER"]),
+                 "--freq", "60", "--p-mixer-out", "-5", "--out-json", str(osc)])
+    assert code == EXIT_OK
+    manifest = json.loads((tmp_path / "osc.json.manifest.json").read_text())
+    assert sorted(manifest) == ["command", "input_digests", "parameters", "timestamp",
+                                "tool_version"]
+    assert manifest["command"] == "breakdown" and manifest["tool_version"] == __version__
+    parameters = manifest["parameters"]
+    assert "func" not in parameters and None not in parameters.values()
+    assert "pa_model" not in parameters and "p_pa_out" not in parameters
+    assert parameters["osc_model"] == parameters["out_json"] == str(osc)
+    assert manifest["input_digests"] == {
+        str(osc): digest,
+        str(models["MIXER"]): hashlib.sha256(models["MIXER"].read_bytes()).hexdigest(),
+    }
+    assert hashlib.sha256(osc.read_bytes()).hexdigest() != digest
     capsys.readouterr()
 
 
@@ -541,6 +571,60 @@ def test_recommend_labels_which_bound_the_answer_sits_on(models, tmp_path, capsy
     assert code == EXIT_OK
     first = capsys.readouterr().out.splitlines()[0]
     assert first == f"recommended operating frequency: {expected} {label}"
+
+
+@pytest.mark.parametrize("command, message", [
+    (["breakdown", "--freq", "60"], "total draw at 60.0 GHz: power in mW must be finite (got inf)"),
+    (["sweep", "--freqs", "60", "--out", "s.csv"],
+     "sweep failed at 60.0 GHz: total draw at 60.0 GHz: power in mW must be finite (got inf)"),
+], ids=["breakdown", "sweep"])
+def test_total_past_the_float_range_is_a_one_line_data_error(tmp_path, monkeypatch, capsys,
+                                                             command, message):
+    # flat PAE 100 %, efficiency 1 and FoM 1/mW: the PA and the oscillator draw 1e308 mW each
+    monkeypatch.chdir(tmp_path)
+    flags = ["--pa-model", _model_file(tmp_path, BlockKind.PA, 100.0, 0.0),
+             "--osc-model", _model_file(tmp_path, BlockKind.OSCILLATOR, 1.0, 0.0),
+             "--mixer-model", _model_file(tmp_path, BlockKind.MIXER, 1.0, 0.0)]
+    code = main([*command, *flags, "--p-mixer-out", "-10", "--p-pa-out", "3080",
+                 "--p-osc-rf", "3080"])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+_USAGE_HINT = "run 'wnocpower --help' for usage"
+_NO_MODELS = ["--osc-model", "osc.json", "--mixer-model", "mix.json"]
+_SURVEY_HEADER = b"block,frequency_ghz,metric,label\n"
+
+
+@pytest.mark.parametrize("argv, data, code, needle", [
+    (["sweep", *_NO_MODELS, "--freqs", "30", "--levels", "abc", "--out", "s.csv"], None,
+     EXIT_USAGE, "not a comma-separated number list: 'abc'"),
+    (["recommend", *_NO_MODELS, "--range", "a:b", "--p-mixer-out", "-5"], None,
+     EXIT_USAGE, "expected lo:hi with numeric fields (got 'a:b')"),
+    (["fit", "INPUT", "--block", "PA", "--bins", "4", "--out", "m.json"], _SURVEY_HEADER,
+     EXIT_USAGE, "fit: --bins only applies to --strategy binned-max"),
+    (["fit", "INPUT", "--block", "PA", "--out", "m.json"], b"",
+     EXIT_DATA, "error: survey CSV has no header row"),
+    (["fit", "INPUT", "--block", "PA", "--out", "m.json"], b"# only a comment\n\n",
+     EXIT_DATA, "error: survey CSV has no header row"),
+    (["fit", "INPUT", "--block", "PA", "--out", "m.json"], _SURVEY_HEADER + b"PA,60,20,\xff\n",
+     EXIT_DATA, "error: survey CSV is not valid UTF-8"),
+    (["fit", "INPUT", "--block", "PA", "--out", "m.json"], _SURVEY_HEADER + b"PA,60,20,  \n",
+     EXIT_DATA, "error: row 2: record label must be non-empty"),
+    (["breakdown", "--osc-model", "INPUT", "--mixer-model", "INPUT", "--freq", "60",
+      "--p-mixer-out", "-5"], b"[]", EXIT_DATA, "must be a JSON object"),
+], ids=["levels-not-numbers", "range-not-numbers", "bins-without-binned-max", "empty-survey",
+        "comments-only-survey", "non-utf8-survey", "blank-label", "model-json-list"])
+def test_bad_input_is_one_line_with_its_exit_code(tmp_path, monkeypatch, capsys, argv, data, code,
+                                                  needle):
+    monkeypatch.chdir(tmp_path)
+    if data is not None:
+        (tmp_path / "INPUT").write_bytes(data)
+    assert main(argv) == code
+    lines = [line for line in capsys.readouterr().err.splitlines() if line != _USAGE_HINT]
+    assert len(lines) == 1 and needle in lines[0]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ([] if data is None else ["INPUT"])
 
 
 # --- streaming sweep ---------------------------------------------------------------

@@ -127,6 +127,24 @@ def test_parse_rejects_an_unclosed_quote_instead_of_swallowing_the_rows_after_it
         parse_survey_csv(HEADER + "\n".join(rows) + "\n")
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n", "\r"], ids=["LF", "CRLF", "CR"])
+@pytest.mark.parametrize("bom", ["", "\ufeff"], ids=["no-BOM", "BOM"])
+@pytest.mark.parametrize("as_bytes", [False, True], ids=["str", "bytes"])
+def test_parse_accepts_a_byte_order_mark_and_any_line_end(end, bom, as_bytes):
+    lines = ["block,frequency_ghz,metric,label,notes", 'PA,60.0,22.5,a,"x\r\ny"', "PA,90,10,b,"]
+    reference = parse_survey_csv("\n".join(lines) + "\n")
+    text = bom + end.join(lines) + end
+    ds = parse_survey_csv(text.encode("utf-8") if as_bytes else text)
+    assert ds == reference and dataset_digest(ds) == dataset_digest(reference)
+    assert ds.records[0].notes == "x\r\ny"
+
+
+def test_parse_names_the_row_of_a_bad_cr_only_line():
+    text = "block,frequency_ghz,metric,label\rPA,60.0,22.5,a\rPA,61,x,b\r"
+    with pytest.raises(SurveyFormatError, match=r"^row 3: metric is not a number"):
+        parse_survey_csv(text)
+
+
 def test_serialize_parse_identity_with_quotes_and_line_breaks():
     ds = SurveyDataset(BlockKind.OSCILLATOR, (
         SurveyRecord(BlockKind.OSCILLATOR, FrequencyGhz(30.0), 0.3, 'a "quoted", label',
