@@ -19,6 +19,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import re
 import sys
 from datetime import datetime, timezone
 from functools import partial
@@ -236,7 +237,6 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
     cfg = _chain_config(args.freq, args.p_mixer_out, args.p_if, args.p_pa_out, args.p_osc_rf)
     bd = chain_breakdown(pa, osc, mix, cfg)
     _print_breakdown(bd)
-    _warn_extrapolated(bd)
     outputs = (
         (args.out_csv, lambda: breakdowns_to_csv([bd])),
         (args.out_json, lambda: json.dumps(breakdown_to_dict(bd), indent=2, sort_keys=True) + "\n"),
@@ -246,6 +246,7 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
             text = render()
             _write_result(path, lambda: write_text_atomic(path, text), args, _model_inputs(args))
             print(f"wrote {path} and {path}.manifest.json")
+    _warn_extrapolated(bd)  # after the writes: a failed write is the only stderr line
     if args.strict and bd.any_extrapolated:
         return EXIT_EXTRAPOLATION
     return EXIT_OK
@@ -423,34 +424,24 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _normalize_argv(argv: list[str]) -> list[str]:
-    # "--levels -15,-10" trips argparse's option detection; fold the value in.
-    out = []
-    i = 0
-    while i < len(argv):
-        tok = argv[i]
-        if tok == "--levels" and i + 1 < len(argv) and argv[i + 1].startswith("-"):
-            out.append(f"--levels={argv[i + 1]}")
-            i += 2
+def _normalize_argv(argv: Sequence[str]) -> list[str]:
+    # argparse reads "-1e1" or "-15,-10" as an option, not as the value of the option
+    # before it: fold a token that starts like a negative number into "--opt=tok".
+    out: list[str] = []
+    for tok in argv:
+        if out and re.match(r"-[\d.]", tok) and re.fullmatch(r"--[^=]+", out[-1]):
+            out[-1] += f"={tok}"
         else:
             out.append(tok)
-            i += 1
     return out
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
     try:
-        args = parser.parse_args(_normalize_argv(argv))
-    except _UsageError as exc:
-        print(str(exc), file=sys.stderr)
-        print("run 'wnocpower --help' for usage", file=sys.stderr)
-        return EXIT_USAGE
+        args = build_parser().parse_args(_normalize_argv(sys.argv[1:] if argv is None else argv))
+        return args.func(args)
     except SystemExit as exc:  # --help or --version, at the top level or on a subcommand
         return exc.code
-    try:
-        return args.func(args)
     except _UsageError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_USAGE

@@ -265,12 +265,16 @@ def save_model(path, block: BlockKind, model: ExpFitModel, source_digest: str) -
 
 
 def load_model(path) -> tuple[BlockKind, ExpFitModel, str]:
-    """Read a model JSON file back as (block kind, model, source digest)."""
-    with open(path, "r", encoding="utf-8") as fh:
+    """Read a model JSON file back as (block kind, model, source digest).
+
+    A UTF-8 byte-order mark is skipped. Every ``ValueError`` raised names ``path`` first."""
+    with open(path, "r", encoding="utf-8-sig") as fh:
         try:
             doc = json.load(fh)
+            if not isinstance(doc, dict):
+                raise ValueError("model document must be a JSON object")
+            return model_from_dict(doc)
         except json.JSONDecodeError as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from None
-    if not isinstance(doc, dict):
-        raise ValueError(f"{path}: model document must be a JSON object")
-    return model_from_dict(doc)
+        except ValueError as exc:  # a UnicodeDecodeError, or a document field
+            raise ValueError(f"{path}: {exc}") from None

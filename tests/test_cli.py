@@ -592,9 +592,11 @@ def test_total_past_the_float_range_is_a_one_line_data_error(tmp_path, monkeypat
     assert not (tmp_path / "s.csv").exists()
 
 
-_USAGE_HINT = "run 'wnocpower --help' for usage"
 _NO_MODELS = ["--osc-model", "osc.json", "--mixer-model", "mix.json"]
 _SURVEY_HEADER = b"block,frequency_ghz,metric,label\n"
+_OSC_MODEL = (GOLDEN / "osc.json").read_bytes()
+_OSC_ARGV = ["breakdown", "--osc-model", "INPUT", "--mixer-model", "INPUT", "--freq", "60",
+             "--p-mixer-out", "-1e1"]
 
 
 @pytest.mark.parametrize("argv, data, code, needle", [
@@ -614,15 +616,33 @@ _SURVEY_HEADER = b"block,frequency_ghz,metric,label\n"
      EXIT_DATA, "error: row 2: record label must be non-empty"),
     (["breakdown", "--osc-model", "INPUT", "--mixer-model", "INPUT", "--freq", "60",
       "--p-mixer-out", "-5"], b"[]", EXIT_DATA, "must be a JSON object"),
+    (_OSC_ARGV, b"[]", EXIT_DATA, "error: INPUT: model document must be a JSON object"),
+    (_OSC_ARGV, b"\xff" + _OSC_MODEL, EXIT_DATA,
+     "error: INPUT: 'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"),
+    (_OSC_ARGV, _OSC_MODEL.replace(b'"a":', b'"amplitude":'), EXIT_DATA,
+     "error: INPUT: model document is missing field 'a'"),
+    (_OSC_ARGV, _OSC_MODEL.replace(b'"a": 0.4355771354849838', b'"a": -1.0'), EXIT_DATA,
+     "error: INPUT: amplitude must be finite and > 0 (got -1.0)"),
+    (["sweep", *_NO_MODELS, "--freqs", "30", "--levels", "-1e1,x", "--out", "s.csv"], None,
+     EXIT_USAGE, "argument --levels: not a comma-separated number list: '-1e1,x'"),
+    (["breakdown", *_NO_MODELS, "--freq", "60", "--p-mixer-out", "-5", "--strict", "-1e1"], None,
+     EXIT_USAGE, "argument --strict: ignored explicit argument '-1e1'"),
+    (["--version", "-1e1"], None, EXIT_USAGE, "argument --version: ignored explicit argument"),
+    (["fit", "INPUT", "--block", "PA", "--out", "missing/m.json"],
+     _SURVEY_HEADER + b"PA,60,20,a\nPA,90,10,b\n", EXIT_DATA,
+     "error: [Errno 2] No such file or directory: 'missing/m.json'"),
 ], ids=["levels-not-numbers", "range-not-numbers", "bins-without-binned-max", "empty-survey",
-        "comments-only-survey", "non-utf8-survey", "blank-label", "model-json-list"])
+        "comments-only-survey", "non-utf8-survey", "blank-label", "model-json-list",
+        "model-json-list-at-1e1-dbm", "model-not-utf8", "model-without-a", "model-with-negative-a",
+        "levels-from-1e1-not-numbers", "flag-given-1e1", "version-given-1e1",
+        "model-out-in-missing-dir"])
 def test_bad_input_is_one_line_with_its_exit_code(tmp_path, monkeypatch, capsys, argv, data, code,
                                                   needle):
     monkeypatch.chdir(tmp_path)
     if data is not None:
         (tmp_path / "INPUT").write_bytes(data)
     assert main(argv) == code
-    lines = [line for line in capsys.readouterr().err.splitlines() if line != _USAGE_HINT]
+    lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and needle in lines[0]
     assert sorted(p.name for p in tmp_path.iterdir()) == ([] if data is None else ["INPUT"])
 
@@ -679,6 +699,38 @@ def test_sweep_checks_the_whole_grid_before_the_first_row(models, tmp_path, caps
     code = main(["sweep", *model_flags(models), *grid, "--p-mixer-out", "-5", "--out", str(out)])
     assert code == EXIT_DATA
     assert capsys.readouterr().err == "error: sweep frequencies must be strictly increasing\n"
+    assert list(tmp_path.glob("*s.csv*")) == []
+
+
+def test_model_files_with_a_byte_order_mark_give_the_same_breakdown(models, capsys):
+    argv = ["breakdown", *model_flags(models), "--freq", "60", "--p-mixer-out", "-10",
+            "--p-pa-out", "0"]
+    assert main(argv) == EXIT_OK
+    expected = capsys.readouterr()
+    for path in models.values():
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert main(argv) == EXIT_OK
+    assert capsys.readouterr() == expected
+
+
+@pytest.mark.parametrize("flag", ["--p-if", "--p-mixer-out", "--p-pa-out", "--p-osc-rf"])
+def test_a_negative_level_in_any_float_notation_may_follow_its_flag(models, capsys, flag):
+    levels = {"--p-if": "-5", "--p-mixer-out": "-20", "--p-pa-out": "0", "--p-osc-rf": "0"}
+    outputs = []
+    for value in ("-10", "-1e1", "-10.0", "-.1e2", "-1E+1"):
+        scenario = [tok for pair in (levels | {flag: value}).items() for tok in pair]
+        assert main(["breakdown", *model_flags(models), "--freq", "60", *scenario]) == EXIT_OK
+        outputs.append(capsys.readouterr())
+    assert all(out == outputs[0] for out in outputs)
+
+
+@pytest.mark.parametrize("grid", [["--range", "-1e1:100:5"], ["--freqs", "-10"],
+                                  ["--freqs", "-1e1,30"]])
+def test_sweep_from_a_negative_frequency_is_a_data_error(models, tmp_path, capsys, grid):
+    out = tmp_path / "s.csv"
+    code = main(["sweep", *model_flags(models), *grid, "--p-mixer-out", "-1e1", "--out", str(out)])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == "error: frequency in GHz must be finite and > 0 (got -10.0)\n"
     assert list(tmp_path.glob("*s.csv*")) == []
 
 

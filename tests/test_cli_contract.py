@@ -1,18 +1,23 @@
 """The CLI error contract as a property.
 
-Whatever the input files hold, ``main`` returns 0, 1, 2 or 3 and never
-raises; a data error (2) or a refusal (3) prints exactly one line on
-stderr. The inputs are fitted model documents with arbitrary numbers for
-``breakdown``, ``sweep`` and ``recommend`` (fits that reach their physical
-bound inside the searched range included), and survey CSVs, adjacent
-doubles included, for ``fit``. Grids stay small: at most 64 points.
+Whatever the argv and whatever the input files hold, ``main`` returns 0,
+1, 2 or 3 and never raises; a usage error (1), a data error (2) or a
+refusal (3) prints exactly one line on stderr. The inputs are argv drawn
+from the CLI's own vocabulary; fitted model documents with arbitrary
+numbers for ``breakdown``, ``sweep`` and ``recommend`` (fits that reach
+their physical bound inside the searched range included); and survey
+CSVs, adjacent doubles included, for ``fit``. Grids stay small: at most
+64 points.
 """
 
 import contextlib
 import io
 import json
 import math
+import os
+import shutil
 import sys
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -40,7 +45,7 @@ def run(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2, 3)
-    if code in (2, 3):
+    if code:
         assert len(err.getvalue().splitlines()) == 1, err.getvalue()
     return code
 
@@ -183,3 +188,70 @@ def test_recommend_with_any_model_numbers_keeps_the_contract(workdir, model, n_g
     if allow:
         argv.append("--allow-extrapolation")
     run(argv)
+
+
+SCENARIO = ["--p-if", "--p-mixer-out", "--p-pa-out", "--p-osc-rf"]
+MODEL_FLAGS = ["--pa-model", "PA.json", "--osc-model", "OSC.json", "--mixer-model", "MIXER.json"]
+# One well-formed call per subcommand, which a drawn argv edits, and the subcommand's flags.
+CALLS = {
+    "fit": (["PA.csv", "--block", "PA", "--out", "out.json"],
+            ["--block", "--strategy", "--bins", "--out"]),
+    "breakdown": ([*MODEL_FLAGS, "--freq", "300", "--p-mixer-out", "-1e1", "--strict"],
+                  [*MODEL_FLAGS[::2], "--freq", *SCENARIO, "--out-csv", "--out-json", "--strict"]),
+    "sweep": ([*MODEL_FLAGS, "--range", "20:140:9", "--p-mixer-out", "-1e1", "--out", "out.csv"],
+              [*MODEL_FLAGS[::2], "--freqs", "--range", *SCENARIO, "--levels", "--out",
+               "--strict"]),
+    "recommend": ([*MODEL_FLAGS, "--range", "20:140", "--p-mixer-out", "-1e1"],
+                  [*MODEL_FLAGS[::2], "--range", "--n-grid", "--allow-extrapolation", *SCENARIO]),
+    "validate-examples": ([], ["--data-dir"]),
+}
+FLAGS = sorted({"-h", "--help", "--version", *(f for _, flags in CALLS.values() for f in flags)})
+# 300 GHz lies past the bundle's spans, so a breakdown there extrapolates.
+VALUES = st.sampled_from([
+    "-1e1", "-.5", "1e309", "nan", "-15,-10", "20:140", "20:140:9", "300", "PA", "OSC", "MIXER",
+    "pareto-upper", "binned-max", "PA.json", "OSC.json", "MIXER.json", "PA.csv", "OSC.csv",
+    "MIXER.csv", "", "x", "-", "-x", "--x", "=", ".", "out.csv", "missing/out.csv"])
+TOKENS = st.one_of(VALUES, st.sampled_from([*CALLS, *FLAGS, "--"]))
+
+
+@pytest.fixture(scope="module")
+def argv_files(tmp_path_factory):
+    """The bundle's surveys and their fitted models, as KIND.csv and KIND.json."""
+    root = tmp_path_factory.mktemp("argv")
+    for kind, survey in SURVEYS.items():
+        shutil.copy(survey, root / f"{kind}.csv")
+        assert run(["fit", str(survey), "--block", kind, "--out", str(root / f"{kind}.json")]) == 0
+    return sorted(root.glob("*.csv")) + sorted(root.glob("*.json"))
+
+
+@st.composite
+def argvs(draw):
+    """A subcommand, bare or as a well-formed call, with tokens replaced, then its own flags
+    with values, and any tokens, appended."""
+    command = draw(st.sampled_from(sorted(CALLS)))
+    call, flags = CALLS[command]
+    argv = [command, *draw(st.sampled_from([call, call, []]))]
+    for i, tok in draw(st.lists(st.tuples(st.integers(0, 40), TOKENS), max_size=1)):
+        if i < len(argv):
+            argv[i] = tok
+    own = st.sampled_from(flags + ["--help"])
+    parts = st.one_of(st.tuples(own, VALUES).map(list),
+                      st.builds("{}={}".format, own, VALUES).map(lambda tok: [tok]),
+                      own.map(lambda tok: [tok]),
+                      TOKENS.map(lambda tok: [tok]))
+    return argv + [tok for part in draw(st.lists(parts, max_size=3)) for tok in part]
+
+
+@settings(max_examples=400, deadline=None)
+@given(argv=argvs())
+def test_any_argv_keeps_the_contract(argv_files, argv):
+    # Each call runs in a fresh directory: every file it names or writes is there.
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as root:
+        for path in argv_files:
+            shutil.copy(path, root)
+        os.chdir(root)
+        try:
+            run(argv)
+        finally:
+            os.chdir(cwd)

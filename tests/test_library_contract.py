@@ -4,17 +4,22 @@ Whatever it is given, each public entry point below returns or raises a
 ``ValueError`` subclass, never another exception: the survey reader on
 text and bytes (byte-order marks, CR, NUL and stray quotes included),
 the model reader on any JSON value, the exponential fit on any finite
-positive points, and the binned-max strategy on any bin count.
+positive points, the binned-max strategy on any bin count, and the chain
+(breakdown, sweep with its dominance report, recommendation) on any
+valid fits and levels.
 """
 
 import math
 
 from hypothesis import given, settings, strategies as st
 
+from wnocpower.blocks import MixerModel, OscModel, PaModel
+from wnocpower.chain import (ChainConfig, chain_breakdown, dominance_report, recommend_frequency,
+                             sweep)
 from wnocpower.exampledata import fit_bundle
-from wnocpower.regression import fit_exponential, model_from_dict, model_to_dict
+from wnocpower.regression import ExpFitModel, fit_exponential, model_from_dict, model_to_dict
 from wnocpower.survey import BinnedMax, parse_survey_csv
-from wnocpower.units import FrequencyGhz
+from wnocpower.units import FrequencyGhz, PowerDbm
 
 HEADER = "block,frequency_ghz,metric,label,technology_node,notes"
 SURVEY_TOKENS = st.sampled_from(list('\ufeff\r\n\x00",#.-+e ab0123456789')
@@ -72,3 +77,41 @@ def test_fit_exponential_keeps_the_contract(points):
 @given(bins=json_values | st.integers(-2, 2**54) | st.sampled_from([math.inf, 2**53, 2**53 + 1]))
 def test_binned_max_keeps_the_contract(bins):
     keeps_the_contract(BinnedMax, bins)
+
+
+# Frequencies and amplitudes over the whole positive float range, subnormals included.
+frequencies = st.one_of(st.floats(0.5, 400.0), st.floats(5e-324, 1.7e308))
+levels = st.floats(-400.0, 400.0)
+
+
+@st.composite
+def chains(draw):
+    """(PA model or None, oscillator model, mixer model, config): valid fits over random spans,
+    with amplitudes weighted to the physical range and rates of any sign and size, at levels
+    up to +-400 dBm, with or without a PA stage."""
+    def fit():
+        lo, hi = sorted(draw(st.lists(frequencies, min_size=2, max_size=2, unique=True)))
+        rate = draw(st.sampled_from([1e3, -1e3, 1e-300, -1e-300, 0.0]) | st.floats(-3.0, 3.0))
+        amplitude = draw(st.floats(0.01, 1.0) | st.floats(5e-324, 1.7e308))
+        return ExpFitModel(amplitude, rate, FrequencyGhz(lo), FrequencyGhz(hi), 1.0, 1.0, 2, "t")
+
+    pa, osc, mix = PaModel(fit()), OscModel(fit()), MixerModel(fit())
+    p_mixer_out, p_pa_out = draw(levels), draw(st.none() | levels)
+    if p_pa_out is not None and p_pa_out <= p_mixer_out:
+        p_pa_out = None
+    cfg = ChainConfig(FrequencyGhz(draw(frequencies)), PowerDbm(p_mixer_out),
+                      PowerDbm(draw(levels)), None if p_pa_out is None else PowerDbm(p_pa_out),
+                      PowerDbm(draw(levels)))
+    return draw(st.sampled_from([pa, None])), osc, mix, cfg
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain=chains(), grid=st.lists(frequencies, min_size=1, max_size=8, unique=True),
+       ends=st.lists(frequencies, min_size=2, max_size=2), allow=st.booleans())
+def test_chain_keeps_the_contract(chain, grid, ends, allow):
+    pa, osc, mix, cfg = chain
+    keeps_the_contract(chain_breakdown, pa, osc, mix, cfg)
+    keeps_the_contract(lambda: dominance_report(
+        sweep(pa, osc, mix, cfg, [FrequencyGhz(f) for f in sorted(grid)])))
+    keeps_the_contract(recommend_frequency, pa, osc, mix, cfg, FrequencyGhz(ends[0]),
+                       FrequencyGhz(ends[1]), 2, allow)

@@ -6,6 +6,7 @@ import pytest
 
 from wnocpower.regression import (
     ExpFitModel,
+    FitDiagnostics,
     ZeroVarianceError,
     evaluate_fit,
     fit_exponential,
@@ -249,6 +250,43 @@ def test_load_model_rejects_non_json(tmp_path):
     path.write_text("not json at all")
     with pytest.raises(ValueError, match="JSON"):
         load_model(path)
+
+
+def _edit_doc(**fields):
+    """A model-file edit: the document with ``fields`` replaced, or removed where None."""
+    def edit(raw: bytes) -> bytes:
+        doc = {**json.loads(raw), **fields}
+        return json.dumps({k: v for k, v in doc.items() if v is not None}).encode()
+    return edit
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda raw: b"\xff" + raw, "'utf-8' codec can't decode byte 0xff in position 0"),
+    (lambda raw: b"[]", "model document must be a JSON object"),
+    (lambda raw: raw[:-3], "not valid JSON (Expecting"),
+    (_edit_doc(a=None), "model document is missing field 'a'"),
+    (_edit_doc(a=-1.0), "amplitude must be finite and > 0 (got -1.0)"),
+], ids=["non-utf8", "list", "truncated", "missing-a", "negative-a"])
+def test_load_model_errors_name_the_file_first(tmp_path, edit, message):
+    path = tmp_path / "m.json"
+    save_model(path, BlockKind.PA, model_ab(3.0, -0.002), "d")
+    path.write_bytes(edit(path.read_bytes()))
+    with pytest.raises(ValueError) as info:
+        load_model(path)
+    assert str(info.value).startswith(f"{path}: {message}")
+
+
+def test_load_model_skips_a_byte_order_mark(tmp_path):
+    path = tmp_path / "m.json"
+    save_model(path, BlockKind.PA, model_ab(3.0, -0.002), "d")
+    expected = load_model(path)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert load_model(path) == expected
+
+
+def test_fit_diagnostics_need_arrays_of_equal_length():
+    with pytest.raises(ValueError, match="^diagnostics arrays must have equal length$"):
+        FitDiagnostics(residuals_log=(0.0, 0.1), predicted=(1.0,))
 
 
 def test_model_from_dict_names_field_of_wrong_type():

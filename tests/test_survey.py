@@ -83,6 +83,12 @@ def test_parse_rejects_duplicate_triples():
         parse_survey_csv(text)
 
 
+def test_dataset_construction_refuses_heterogeneous_kinds():
+    records = (rec(60.0, 20.0, "a"), rec(90.0, 0.5, "b", BlockKind.OSCILLATOR))
+    with pytest.raises(ValueError, match="^heterogeneous block kinds: dataset is PA, record 'b'"):
+        SurveyDataset(BlockKind.PA, records)
+
+
 def test_parse_requires_header():
     with pytest.raises(SurveyFormatError, match="header"):
         parse_survey_csv("PA,60.0,22.5,a\n")
