@@ -26,7 +26,7 @@ from typing import ClassVar, Sequence
 
 from .regression import ExpFitModel, _evaluate
 from .survey import _METRIC_RANGE, BlockKind, _check_metric
-from .units import FrequencyGhz, PowerDbm, PowerMilliwatt, dbm_to_mw
+from .units import FrequencyGhz, PowerDbm, PowerMilliwatt, _dbm_mw
 
 
 @dataclass(frozen=True)
@@ -116,6 +116,8 @@ def _admissible(term: _Term, lo: float, hi: float, allow_extrapolation: bool) ->
         top = log(term.fom_hi / term.fit.a) / term.fit.b
         half = log(term.fom_hi / 2 / term.fit.a) / term.fit.b
         lo, hi = (lo, min(hi, top)) if term.fit.b > 0 else (max(lo, top), hi)
+    if lo <= hi and ok(lo) and ok(hi):  # what the probe and both bisections would return
+        return lo, hi
     good = next((f for f in (lo, hi, half) if lo <= f <= hi and ok(f)), None)
     return (inf, -inf) if good is None else (_edge(ok, good, lo), _edge(ok, good, hi))
 
@@ -138,12 +140,12 @@ def _pa_numerator(p_in: PowerDbm, p_out: PowerDbm) -> float:
             f"PA output must exceed input (got {p_out.value} dBm out, "
             f"{p_in.value} dBm in); omit the PA stage for zero gain"
         )
-    return dbm_to_mw(p_out).value - dbm_to_mw(p_in).value
+    return _dbm_mw(p_out.value) - _dbm_mw(p_in.value)
 
 
 def _mixer_numerator(p_if_in: PowerDbm, p_rf_out: PowerDbm) -> float:
     """Linear conversion gain P_RF_out / P_IF_in (a loss when below one)."""
-    return dbm_to_mw(p_rf_out).value / dbm_to_mw(p_if_in).value
+    return _dbm_mw(p_rf_out.value) / _dbm_mw(p_if_in.value)
 
 
 def _block_dc(term: _Term, f: FrequencyGhz) -> tuple[PowerMilliwatt, bool]:
@@ -176,7 +178,7 @@ def osc_dc_power(
     The DC-to-RF efficiency must land in (0, 1], so the result is never
     below the delivered RF power.
     """
-    return _block_dc(_term(m.kind, m.eff_fit, dbm_to_mw(p_rf).value), f)
+    return _block_dc(_term(m.kind, m.eff_fit, _dbm_mw(p_rf.value)), f)
 
 
 def mixer_dc_power(

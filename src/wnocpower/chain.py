@@ -19,7 +19,7 @@ three commands name the same fault for the same inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import pairwise, product, repeat
 from math import inf, isfinite
 from typing import Iterable, Iterator, Sequence
@@ -28,7 +28,7 @@ from .blocks import (MixerModel, OscModel, PaModel, _admissible, _dc, _dcs, _edg
                      _mixer_numerator, _pa_numerator, _term, mixer_dc_power, osc_dc_power,
                      pa_dc_power)
 from .survey import BlockKind
-from .units import FrequencyGhz, PowerDbm, PowerMilliwatt, dbm_to_mw
+from .units import FrequencyGhz, PowerDbm, PowerMilliwatt, _dbm_mw
 
 
 class NoAdmissiblePointError(ValueError):
@@ -183,7 +183,7 @@ def frequency_grid(lo: float, hi: float, n: int) -> Iterator[float]:
 def _terms(pa: PaModel | None, osc: OscModel, mix: MixerModel, cfg: ChainConfig) -> tuple:
     """The chain's block terms (see ``blocks._Term``) at ``cfg``'s levels: mixer,
     oscillator, then the PA if ``cfg`` has one."""
-    num_osc = dbm_to_mw(cfg.p_osc_rf).value  # a bad oscillator level is reported first
+    num_osc = _dbm_mw(cfg.p_osc_rf.value)  # a bad oscillator level is reported first
     terms = (_term(mix.kind, mix.fom_fit, _mixer_numerator(cfg.p_if_in, cfg.p_mixer_out)),
              _term(osc.kind, osc.eff_fit, num_osc))
     if cfg.p_pa_out is None:
@@ -256,7 +256,7 @@ def sweep(
     failed = next((f for f, row in zip(frequencies, rows) if row[4] == inf), None)
     if failed is not None:
         try:
-            chain_breakdown(pa, osc, mix, replace(base_cfg, frequency=failed))
+            chain_breakdown(pa, osc, mix, type(base_cfg)(failed, *_levels(base_cfg)))
         except ValueError as exc:
             raise ValueError(f"sweep failed at {failed.value} GHz: {exc}") from None
     levels = _levels(base_cfg)
@@ -304,7 +304,7 @@ def recommend_frequency(
             "is inside all model validity ranges with every figure of merit physical; "
             "pass allow_extrapolation to search anyway"))
     f_best = FrequencyGhz(_argmin(terms, f_lo, f_hi))
-    return f_best, chain_breakdown(pa, osc, mix, replace(base_cfg, frequency=f_best))
+    return f_best, chain_breakdown(pa, osc, mix, type(base_cfg)(f_best, *_levels(base_cfg)))
 
 
 def _admissible_interval(terms: tuple, lo: float, hi: float, allow_extrapolation: bool) -> tuple:

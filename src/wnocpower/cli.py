@@ -266,12 +266,13 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     if (args.levels is None) == (args.p_mixer_out is None) or not levels:
         raise _UsageError("sweep: give exactly one of --p-mixer-out or --levels, "
                           "with at least one level")
-    pa, osc, mix = _load_chain_models(args)
     # The whole grid is checked before the first row: a chunk cannot see a repeat at
     # its boundary, and a --range step below one ulp repeats a frequency. Every
-    # frequency is validated in the same pass, so it is reported before a bad level.
+    # frequency is validated in the same pass, so it is reported before a model file
+    # is read or a bad level is.
     if not _strictly_increasing(FrequencyGhz(f).value for f in grid()):
         raise ValueError("sweep frequencies must be strictly increasing")
+    pa, osc, mix = _load_chain_models(args)
     bases = [_chain_config(first, level, args.p_if, args.p_pa_out, args.p_osc_rf)
              for level in levels]
     extrapolated = False

@@ -50,15 +50,20 @@ class FrequencyGhz:
             raise ValueError(f"frequency in GHz must be finite and > 0 (got {self.value})")
 
 
+def _dbm_mw(dbm: float) -> float:
+    """``dbm_to_mw`` on plain floats, with the same checks."""
+    try:
+        mw = 10.0 ** (dbm / 10.0)
+    except OverflowError:
+        raise ValueError(f"{dbm} dBm overflows a float in mW") from None
+    if mw == 0.0:
+        raise ValueError(f"{dbm} dBm rounds to 0 mW")
+    return mw
+
+
 def dbm_to_mw(p: PowerDbm) -> PowerMilliwatt:
     """Convert dBm to linear milliwatts: mW = 10^(dBm / 10)."""
-    try:
-        mw = 10.0 ** (p.value / 10.0)
-    except OverflowError:
-        raise ValueError(f"{p.value} dBm overflows a float in mW") from None
-    if mw == 0.0:
-        raise ValueError(f"{p.value} dBm rounds to 0 mW")
-    return PowerMilliwatt(mw)
+    return PowerMilliwatt(_dbm_mw(p.value))
 
 
 def mw_to_dbm(p: PowerMilliwatt) -> PowerDbm:

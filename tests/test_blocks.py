@@ -2,17 +2,21 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wnocpower.blocks import (
     MixerModel,
     OscModel,
     PaModel,
+    _admissible,
+    _term,
     conversion_gain_db,
     mixer_dc_power,
     osc_dc_power,
     pa_dc_power,
 )
 from wnocpower.regression import ExpFitModel, evaluate_fit
+from wnocpower.survey import BlockKind
 from wnocpower.units import FrequencyGhz, PowerDbm, PowerMilliwatt, dbm_to_mw, mw_to_dbm
 
 F = FrequencyGhz(60.0)
@@ -185,3 +189,56 @@ def test_extrapolation_flags_match_underlying_fit():
         assert pa_dc_power(pa, fq, PowerDbm(-10.0), PowerDbm(0.0))[1] == expected
         assert osc_dc_power(osc, fq, PowerDbm(0.0))[1] == expected
         assert mixer_dc_power(mix, fq, PowerDbm(-5.0), PowerDbm(-5.0))[1] == expected
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: pa_dc_power(PaModel(fit(50.0)), F, PowerDbm(-10.0), PowerDbm(5000.0)),
+     "5000.0 dBm overflows a float in mW"),
+    (lambda: osc_dc_power(OscModel(fit(0.5)), F, PowerDbm(-4000.0)), "-4000.0 dBm rounds to 0 mW"),
+    (lambda: mixer_dc_power(MixerModel(fit(1.0)), F, PowerDbm(-4000.0), PowerDbm(-5.0)),
+     "-4000.0 dBm rounds to 0 mW"),
+])
+def test_block_functions_name_an_unrepresentable_level(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+# --- the admissible interval -----------------------------------------------------
+
+TOP = {BlockKind.PA: 100.0, BlockKind.OSCILLATOR: 1.0, BlockKind.MIXER: math.inf}
+positive = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
+pairs = st.lists(positive, min_size=2, max_size=2, unique=True).map(sorted)
+
+
+def physical(kind, a, b, f):
+    """The evaluator's range check, written out: 0 < a * exp(b * f) <= the block's top."""
+    try:
+        fom = a * math.exp(b * f)
+    except OverflowError:
+        return False
+    return 0.0 < fom < math.inf and fom <= TOP[kind]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(kind=st.sampled_from(list(BlockKind)), a=positive,
+       b=st.floats(allow_nan=False, allow_infinity=False), span=pairs, ends=pairs,
+       allow_extrapolation=st.booleans())
+def test_admissible_interval_is_physical_and_reaches_its_bounds(kind, a, b, span, ends,
+                                                               allow_extrapolation):
+    got = _admissible(_term(kind, fit(a, b, *span), 1.0), *ends, allow_extrapolation)
+    # The narrowed range: the ends, inside the span unless extrapolating, and on the side of
+    # the closed-form frequency where the FoM reaches its top that is not past it.
+    lo, hi = ends if allow_extrapolation else (max(ends[0], span[0]), min(ends[1], span[1]))
+    if b:
+        top = math.log(TOP[kind] / a) / b
+        lo, hi = (lo, min(hi, top)) if b > 0 else (max(lo, top), hi)
+    if got == (math.inf, -math.inf):  # no node of the narrowed range is physical
+        nodes = [lo + (hi - lo) * i / 64 for i in range(64)] + [hi] if lo <= hi else []
+        assert not any(physical(kind, a, b, f) for f in nodes)
+        return
+    f_lo, f_hi = got
+    assert lo <= f_lo <= f_hi <= hi
+    assert physical(kind, a, b, f_lo) and physical(kind, a, b, f_hi)
+    assert f_lo == lo or not physical(kind, a, b, math.nextafter(f_lo, -math.inf))
+    assert f_hi == hi or not physical(kind, a, b, math.nextafter(f_hi, math.inf))

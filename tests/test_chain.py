@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -130,6 +131,28 @@ def test_extrapolation_flags_propagate_per_block():
     bd = chain_breakdown(pa, osc, mix, cfg(freq=243.0))
     assert bd.mixer_extrapolated and not bd.pa_extrapolated and not bd.osc_extrapolated
     assert bd.extrapolated_blocks == (BlockKind.MIXER,)
+
+
+@pytest.mark.parametrize("field, dbm, message", [
+    ("p_mixer_out", -4000.0, "-4000.0 dBm rounds to 0 mW"),
+    ("p_mixer_out", 5000.0, "5000.0 dBm overflows a float in mW"),
+    ("p_if_in", -4000.0, "-4000.0 dBm rounds to 0 mW"),
+    ("p_if_in", 5000.0, "5000.0 dBm overflows a float in mW"),
+    ("p_osc_rf", -4000.0, "-4000.0 dBm rounds to 0 mW"),
+    ("p_osc_rf", 5000.0, "5000.0 dBm overflows a float in mW"),
+    ("p_pa_out", 5000.0, "5000.0 dBm overflows a float in mW"),
+])
+def test_an_unrepresentable_level_is_named_by_every_chain_function(field, dbm, message):
+    pa, osc, mix = constant_models()
+    base = replace(cfg(mixer_out=-5.0, pa_out=None), **{field: PowerDbm(dbm)})
+    calls = [lambda: chain_breakdown(pa, osc, mix, base),
+             lambda: sweep(pa, osc, mix, base, [FrequencyGhz(30.0), FrequencyGhz(60.0)]),
+             lambda: recommend_frequency(pa, osc, mix, base, FrequencyGhz(20.0),
+                                         FrequencyGhz(140.0))]
+    for call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
 
 
 # --- sweep ---------------------------------------------------------------------
@@ -267,6 +290,44 @@ def test_recommend_finds_a_physical_band_narrower_than_half_the_range():
         eff = lambda f: osc.eff_fit.a * math.exp(-10.0 * f)  # noqa: E731
         assert eff(f.value) <= 1.0 and f.value == pytest.approx(ln_a / 10.0, rel=1e-12), ln_a
         assert bd.total_mw.value < math.inf
+
+
+# Answers pinned to the float. The bundle recommendation reaches only the range's lower end,
+# so these cover the slope bisection and the physical-bound bisection of blocks._admissible.
+
+
+def test_recommend_pins_an_interior_minimum(bundle_models):
+    pa, osc, mix = bundle_models  # with a rising-FoM mixer, whose draw falls with frequency
+    rising = MixerModel(replace(mix.fom_fit, a=0.02, b=0.05))
+    f, bd = recommend_frequency(pa, osc, rising, cfg(mixer_out=-5.0, pa_out=0.0),
+                                FrequencyGhz(20.0), FrequencyGhz(140.0))
+    assert repr(f.value) == "74.28873187089798"
+    assert bd.row == (74.28873187089798, 2.6523128101566478, 3.8849480425549467,
+                      1.2184583497013035, 7.755719202412898, 0.3419815417416713,
+                      0.500913963123664, 0.1571044951346648, "")
+
+
+def test_recommend_pins_the_physical_bound_of_a_pae_past_100_percent(bundle_models):
+    _, osc, mix = bundle_models
+    hot = PaModel(fit(1000.0, b=-0.02, lo=0.9, hi=309.3))  # PAE falls through 100 % near 115 GHz
+    top = math.log(100.0 / 1000.0) / -0.02
+    assert 1000.0 * math.exp(-0.02 * top) > 100.0  # the closed-form bound rounds past it
+    f, bd = recommend_frequency(hot, osc, mix, cfg(mixer_out=-5.0, pa_out=0.0),
+                                FrequencyGhz(1.0), FrequencyGhz(140.0))
+    assert repr(f.value) == "115.12925464970229" and f.value == math.nextafter(top, math.inf)
+    assert bd.row == (115.12925464970229, 0.6837722339831621, 5.187721590870946,
+                      0.7540266144736962, 6.625520439327804, 0.1032027959531183,
+                      0.7829908062886104, 0.11380639775827125, "")
+
+
+def test_recommend_pins_its_refusal_message(bundle_models):
+    pa, osc, mix = bundle_models
+    with pytest.raises(NoAdmissiblePointError) as info:
+        recommend_frequency(pa, osc, mix, cfg(mixer_out=-5.0, pa_out=0.0),
+                            FrequencyGhz(150.0), FrequencyGhz(200.0))
+    assert str(info.value) == (
+        "no grid point in [150.0, 200.0] GHz is inside all model validity ranges with every "
+        "figure of merit physical; pass allow_extrapolation to search anyway")
 
 
 # --- dominance ----------------------------------------------------------------

@@ -366,6 +366,16 @@ def test_readme_commands_write_the_golden_bundle_bytes(tmp_path, capsys, monkeyp
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 
 
+def test_interior_minimum_recommendation_writes_its_golden_bytes(capsys):
+    # The bundle PA and oscillator with a rising-FoM mixer: a minimum inside the range.
+    interior = GOLDEN.parent / "interior"
+    assert main(["recommend", "--pa-model", str(GOLDEN / "pa.json"),
+                 "--osc-model", str(GOLDEN / "osc.json"),
+                 "--mixer-model", str(interior / "mix.json"),
+                 "--range", "20:140", "--p-mixer-out", "-5", "--p-pa-out", "0"]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == (interior / "recommend.stdout").read_bytes()
+
+
 def test_cli_import_does_not_load_numpy():
     import os
     import subprocess
@@ -732,6 +742,45 @@ def test_sweep_from_a_negative_frequency_is_a_data_error(models, tmp_path, capsy
     assert code == EXIT_DATA
     assert capsys.readouterr().err == "error: frequency in GHz must be finite and > 0 (got -10.0)\n"
     assert list(tmp_path.glob("*s.csv*")) == []
+
+
+@pytest.mark.parametrize("grid, shown", [(["--range", "-1e1:100:5"], "-10.0"),
+                                         (["--freqs=-5,10"], "-5.0")])
+@pytest.mark.parametrize("with_models", [False, True])
+def test_sweep_checks_its_frequencies_before_it_reads_a_model(tmp_path, monkeypatch, capsys,
+                                                                grid, shown, with_models):
+    monkeypatch.chdir(tmp_path)
+    if with_models:
+        for name in ("osc.json", "mix.json"):
+            (tmp_path / name).write_bytes((GOLDEN / name).read_bytes())
+    code = main(["sweep", "--osc-model", "osc.json", "--mixer-model", "mix.json", *grid,
+                 "--p-mixer-out", "-5", "--out", "s.csv"])
+    assert code == EXIT_DATA
+    assert capsys.readouterr().err == f"error: frequency in GHz must be finite and > 0 (got {shown})\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("flag, dbm, message", [
+    ("--p-mixer-out", "-4000", "-4000.0 dBm rounds to 0 mW"),
+    ("--p-mixer-out", "5000", "5000.0 dBm overflows a float in mW"),
+    ("--p-if", "-4000", "-4000.0 dBm rounds to 0 mW"),
+    ("--p-if", "5000", "5000.0 dBm overflows a float in mW"),
+    ("--p-osc-rf", "-4000", "-4000.0 dBm rounds to 0 mW"),
+    ("--p-osc-rf", "5000", "5000.0 dBm overflows a float in mW"),
+    ("--p-pa-out", "5000", "5000.0 dBm overflows a float in mW"),
+])
+@pytest.mark.parametrize("command", [
+    ["breakdown", "--freq", "60"],
+    ["sweep", "--freqs", "30,60", "--out", "sweep.csv"],
+    ["recommend", "--range", "20:140"],
+])
+def test_an_unrepresentable_level_is_named_by_every_command(models, tmp_path, monkeypatch, capsys,
+                                                             command, flag, dbm, message):
+    monkeypatch.chdir(tmp_path)
+    levels = {"--p-mixer-out": "-5", flag: dbm}
+    argv = [*command, *model_flags(models), *[tok for item in levels.items() for tok in item]]
+    assert main(argv) == EXIT_DATA
+    assert capsys.readouterr().err == f"error: {message}\n"
 
 
 @pytest.mark.parametrize("spec, shown", [("1:inf:5", "inf"), ("nan:100:5", "nan"),

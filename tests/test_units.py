@@ -85,3 +85,11 @@ def test_quantities_compare_within_type_only():
 def test_dbm_to_mw_rejects_unrepresentable_levels(dbm):
     with pytest.raises(ValueError, match="dBm"):
         dbm_to_mw(PowerDbm(dbm))
+
+
+@pytest.mark.parametrize("dbm, message", [(-4000.0, "-4000.0 dBm rounds to 0 mW"),
+                                          (5000.0, "5000.0 dBm overflows a float in mW")])
+def test_dbm_to_mw_names_an_unrepresentable_level(dbm, message):
+    with pytest.raises(ValueError) as info:
+        dbm_to_mw(PowerDbm(dbm))
+    assert str(info.value) == message
