@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from dataclasses import dataclass
-from math import exp, inf, log
+from math import exp, inf, log, nextafter
 from typing import ClassVar, Sequence
 
 from .regression import ExpFitModel, _evaluate
@@ -101,33 +101,43 @@ def _admissible(term: _Term, lo: float, hi: float, allow_extrapolation: bool) ->
     """[lo, hi] narrowed to the term's validity span, unless ``allow_extrapolation``, and to
     where its figure of merit is physical; (inf, -inf) if that is nowhere.
 
-    FoM(f) = a * exp(b * f) is monotone, so that is one interval. The
-    closed-form f where the FoM reaches its top bounds it; if neither end
-    is physical, the one where it is half its top lies inside. The range
-    check of the evaluator settles both ends to the float."""
+    FoM(f) = a * exp(b * f) is monotone, so that is one interval, and the range check of the
+    evaluator settles each end of it to the float, at no point twice. An end that is not
+    physical is cut back from one that is or, if neither is, from the closed-form f where
+    the FoM is half its top, which then lies inside. The closed-form f where the FoM reaches
+    its top is only where the cut toward the rising FoM starts."""
     def ok(f: float) -> bool:  # the range check of _dc
         fom = _evaluate(term.fit, f)[0]
         return term.fom_lo < fom < inf and fom <= term.fom_hi
 
     if not allow_extrapolation:
         lo, hi = max(lo, term.fit.valid_lo.value), min(hi, term.fit.valid_hi.value)
-    half = inf
-    if term.fit.b:  # an upper bound for a rising FoM, a lower one for a falling FoM
-        top = log(term.fom_hi / term.fit.a) / term.fit.b
-        half = log(term.fom_hi / 2 / term.fit.a) / term.fit.b
-        lo, hi = (lo, min(hi, top)) if term.fit.b > 0 else (max(lo, top), hi)
-    if lo <= hi and ok(lo) and ok(hi):  # what the probe and both bisections would return
+    if lo > hi:
+        return inf, -inf
+    ok_lo = ok(lo)
+    ok_hi = ok_lo if lo == hi else ok(hi)
+    if ok_lo and ok_hi:
         return lo, hi
-    good = next((f for f in (lo, hi, half) if lo <= f <= hi and ok(f)), None)
-    return (inf, -inf) if good is None else (_edge(ok, good, lo), _edge(ok, good, hi))
+    a, b, fom_hi = term.fit.a, term.fit.b, term.fom_hi  # b == 0 passes both ends or neither
+    if ok_lo or ok_hi:
+        good = lo if ok_lo else hi
+    elif not (b and lo < (good := log(fom_hi / 2 / a) / b) < hi and ok(good)):
+        return inf, -inf
+    top = log(fom_hi / a) / b
+    return (lo if ok_lo else _edge(ok, good, lo, top)), (hi if ok_hi else _edge(ok, good, hi, top))
 
 
-def _edge(ok, good: float, bad: float) -> float:
-    """The last point from ``good`` toward ``bad`` where ``ok`` holds, by bisection.
+def _edge(ok, good: float, bad: float, start: float) -> float:
+    """The last point from ``good`` toward ``bad`` where ``ok`` holds.
 
-    ``ok(good)`` holds, and ``ok`` holds on an interval."""
-    if bad == good or ok(bad):
-        return bad
+    ``ok(good)`` holds, ``ok(bad)`` does not, and ``ok`` holds on an interval. ``start``, if
+    it is between the two, is probed first and the float next to it toward the other end
+    second; bisection settles the rest. Each probe is strictly between the last two."""
+    if min(good, bad) < start < max(good, bad):
+        good, bad = (start, bad) if ok(start) else (good, start)
+        step = nextafter(start, bad if start == good else good)
+        if step not in (good, bad):
+            good, bad = (step, bad) if ok(step) else (good, step)
     while (mid := good + (bad - good) / 2) not in (good, bad):
         good, bad = (mid, bad) if ok(mid) else (good, mid)
     return good

@@ -8,8 +8,9 @@ it delivers to the LO port, and the surveyed mixer figures already
 include their LO-drive and bias power, so nothing is double counted.
 
 Each block is one exponential term of the frequency (``blocks._Term``),
-evaluated by one function (``blocks._dc``, or ``blocks._dcs`` over a column
-of frequencies). On top of single-point breakdowns the module provides
+evaluated by one function (``blocks._dc``; ``blocks._dcs`` over a column
+of frequencies and ``_slope`` for the slope of the total take the same
+expressions). On top of single-point breakdowns the module provides
 frequency sweeps, the exact minimum-power operating frequency (the total
 is a sum of positive exponentials, hence convex), and a per-frequency
 dominant-block report. Only ``chain_breakdown`` names a fault at a point:
@@ -21,13 +22,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise, product, repeat
-from math import inf, isfinite
+from math import exp, inf, isfinite, nan, nextafter
 from typing import Iterable, Iterator, Sequence
 
-from .blocks import (MixerModel, OscModel, PaModel, _admissible, _dc, _dcs, _edge,
-                     _mixer_numerator, _pa_numerator, _term, mixer_dc_power, osc_dc_power,
-                     pa_dc_power)
-from .survey import BlockKind
+from .blocks import (MixerModel, OscModel, PaModel, _admissible, _dcs, _mixer_numerator,
+                     _pa_numerator, _term, mixer_dc_power, osc_dc_power, pa_dc_power)
+from .survey import BlockKind, _check_metric
 from .units import FrequencyGhz, PowerDbm, PowerMilliwatt, _dbm_mw
 
 
@@ -290,10 +290,11 @@ def recommend_frequency(
     total is convex for any signs of the rates and its minimum is found
     exactly. The admissible frequencies are one interval: [lo, hi], inside
     every used model's validity range unless ``allow_extrapolation`` is
-    set, where every figure of merit is physical. One bisection on the
-    slope of the total over that interval finds the minimum to the float.
-    Exact ties, where every rate is 0, go to the lower end. ``n_grid`` is
-    checked (>= 2) and does not change the answer.
+    set, where every figure of merit is physical. A bracketed Newton
+    iteration on the slope of the total over that interval (``_argmin``)
+    finds the minimum to the float. Exact ties, where every rate is 0, go
+    to the lower end. ``n_grid`` is checked (>= 2) and does not change the
+    answer.
     """
     frequency_grid(lo.value, hi.value, n_grid)  # checks the range and the grid size
     terms = _terms(pa, osc, mix, base_cfg)
@@ -318,13 +319,53 @@ def _argmin(terms: tuple, lo: float, hi: float) -> float:
     """The least f in [lo, hi] that minimises the convex total T of ``terms``.
 
     Every point of [lo, hi] is admissible. T is convex, so its slope
-    T'(f) = sum(-b_i * P_i(f)) is negative on one interval from ``lo``: one
-    bisection finds the last float of it, or the answer is ``lo`` if the
-    slope there is not negative (every rate 0, an exact tie, included)."""
-    def falling(f: float) -> bool:  # T'(f) < 0; a rate of 0 adds nothing, even to an inf power
-        return sum([t.fit.b * _dc(t, f)[0] for t in terms if t.fit.b]) > 0
+    T'(f) = sum(-b_i * P_i(f)) is negative on one interval from ``lo``: the answer is the
+    last float of it, or ``lo`` if the slope there is not negative (every rate 0, an exact
+    tie, included). A bracketed Newton iteration on the slope finds that float: it keeps a
+    falling ``good`` and a ``bad`` that is not, and probes Newton's point when it lies
+    strictly between them. Otherwise it probes the float next to Newton's point inside the
+    bracket, and the midpoint on a second such stall in a row, or when six probes have not
+    halved the bracket. It stops when ``good`` and ``bad`` are adjacent floats."""
+    rates = [(t.fit.a, t.fit.b, t.num, t.scale, t.fom_lo, t.fom_hi, t.kind)
+             for t in terms if t.fit.b]  # a rate of 0 adds nothing, even to an inf power
+    if not (lo < hi and _slope(rates, lo)[0] > 0):
+        return lo
+    f, (h, dh) = hi, _slope(rates, hi)
+    if h > 0:
+        return hi
+    good, bad, stalled, widths = lo, hi, False, [hi - lo] * 6
+    while nextafter(good, bad) != bad:
+        x = f - h / dh if dh else nan
+        stall = not good < x < bad
+        if stall and stalled or bad - good > widths[-6] / 2:
+            x, stall = good + (bad - good) / 2, False
+        elif stall:
+            x = nextafter(bad, good) if x >= bad else nextafter(good, bad)
+        stalled = stall
+        widths.append(bad - good)
+        f, (h, dh) = x, _slope(rates, x)
+        good, bad = (x, bad) if h > 0 else (good, x)
+    return good
 
-    return _edge(falling, lo, hi) if lo < hi and falling(lo) else lo
+
+def _slope(rates: list, f: float) -> tuple[float, float]:
+    """-T'(f) = sum(b_i * P_i(f)) over ``rates`` (a, b, num, scale, fom_lo, fom_hi, kind of
+    each term with a non-zero rate), and its derivative sum(-b_i**2 * P_i(f)).
+
+    Each P_i is ``blocks._dc``'s expression, range check and inf cases, and the first sum
+    adds the same list in the same order, so that it is > 0 exactly where T falls."""
+    parts, curvature = [], []
+    for a, b, num, scale, fom_lo, fom_hi, kind in rates:
+        try:
+            fom = a * exp(b * f)
+        except OverflowError:
+            fom = inf
+        if not fom_lo < fom < inf or fom > fom_hi:
+            _check_metric(kind, fom, f)
+        denominator = scale * fom
+        parts.append(part := b * (num / denominator if denominator else inf))
+        curvature.append(-b * part)
+    return sum(parts), sum(curvature)
 
 
 def dominance_report(result: SweepResult) -> list[tuple[FrequencyGhz, BlockKind]]:

@@ -1,5 +1,8 @@
 import math
 import random
+import struct
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +19,7 @@ from wnocpower.blocks import (
     pa_dc_power,
 )
 from wnocpower.regression import ExpFitModel, evaluate_fit
+from wnocpower.regression import _evaluate as evaluate_plain
 from wnocpower.survey import BlockKind
 from wnocpower.units import FrequencyGhz, PowerDbm, PowerMilliwatt, dbm_to_mw, mw_to_dbm
 
@@ -220,6 +224,46 @@ def physical(kind, a, b, f):
     return 0.0 < fom < math.inf and fom <= TOP[kind]
 
 
+SIGN = 1 << 63
+
+
+def rank(x):
+    """The place of the float x in the order of all floats, as an integer (0 for +-0.0)."""
+    bits = struct.unpack("<Q", struct.pack("<d", x))[0]
+    return -(bits & ~SIGN) if bits & SIGN else bits
+
+
+def unrank(r):
+    return struct.unpack("<d", struct.pack("<Q", -r | SIGN if r < 0 else r))[0]
+
+
+MAX_RANK = rank(sys.float_info.max)
+
+
+def last_physical_past_top(kind, a, b):
+    """The last physical float on the side where the FoM rises, +-inf if the closed-form top
+    is past the float range, and -+inf if no float on that side of it is physical.
+
+    A walk over consecutive floats from the top, away from it while the range check keeps
+    its answer at the top, in strides that double and then halve."""
+    top = math.log(TOP[kind] / a) / b
+    if not math.isfinite(top):
+        return top
+    at_top = physical(kind, a, b, top)
+    way = (1 if b > 0 else -1) * (1 if at_top else -1)
+    same = lambda r: abs(r) <= MAX_RANK and physical(kind, a, b, unrank(r)) == at_top  # noqa: E731
+    last, stride = rank(top), 1
+    while same(last + way * stride):
+        last, stride = last + way * stride, stride * 2
+    first = last + way * stride  # the check differs here
+    while abs(first - last) > 1:
+        mid = (first + last) // 2
+        last, first = (mid, first) if same(mid) else (last, mid)
+    if at_top:
+        return unrank(last)
+    return unrank(first) if abs(first) <= MAX_RANK else (-math.inf if b > 0 else math.inf)
+
+
 @settings(max_examples=1000, deadline=None)
 @given(kind=st.sampled_from(list(BlockKind)), a=positive,
        b=st.floats(allow_nan=False, allow_infinity=False), span=pairs, ends=pairs,
@@ -227,12 +271,12 @@ def physical(kind, a, b, f):
 def test_admissible_interval_is_physical_and_reaches_its_bounds(kind, a, b, span, ends,
                                                                allow_extrapolation):
     got = _admissible(_term(kind, fit(a, b, *span), 1.0), *ends, allow_extrapolation)
-    # The narrowed range: the ends, inside the span unless extrapolating, and on the side of
-    # the closed-form frequency where the FoM reaches its top that is not past it.
+    # The narrowed range: the ends, inside the span unless extrapolating, and not past the
+    # last physical float on the side where the FoM rises.
     lo, hi = ends if allow_extrapolation else (max(ends[0], span[0]), min(ends[1], span[1]))
     if b:
-        top = math.log(TOP[kind] / a) / b
-        lo, hi = (lo, min(hi, top)) if b > 0 else (max(lo, top), hi)
+        edge = last_physical_past_top(kind, a, b)
+        lo, hi = (lo, min(hi, edge)) if b > 0 else (max(lo, edge), hi)
     if got == (math.inf, -math.inf):  # no node of the narrowed range is physical
         nodes = [lo + (hi - lo) * i / 64 for i in range(64)] + [hi] if lo <= hi else []
         assert not any(physical(kind, a, b, f) for f in nodes)
@@ -242,3 +286,43 @@ def test_admissible_interval_is_physical_and_reaches_its_bounds(kind, a, b, span
     assert physical(kind, a, b, f_lo) and physical(kind, a, b, f_hi)
     assert f_lo == lo or not physical(kind, a, b, math.nextafter(f_lo, -math.inf))
     assert f_hi == hi or not physical(kind, a, b, math.nextafter(f_hi, math.inf))
+
+
+def test_admissible_keeps_a_physical_end_past_the_closed_form_top():
+    # The efficiency 0.7 * exp(0.004 * f) reaches 1 at the closed-form ln(1 / 0.7) / 0.004 GHz
+    # and is still exactly 1 at the float after it, the last physical one.
+    osc = _term(BlockKind.OSCILLATOR, fit(0.7, 0.004), 1.0)
+    top = math.log(1.0 / 0.7) / 0.004
+    edge = math.nextafter(top, math.inf)
+    assert repr(edge) == "89.16873598468311" and 0.7 * math.exp(0.004 * edge) == 1.0
+    assert not physical(BlockKind.OSCILLATOR, 0.7, 0.004, math.nextafter(edge, math.inf))
+    assert _admissible(osc, edge, 100.0, False) == (edge, edge)
+    assert _admissible(osc, 80.0, 100.0, False) == (80.0, edge)
+
+
+def probed(term, lo, hi, allow_extrapolation):
+    """``_admissible``'s answer and every frequency it evaluated the term's fit at, in order."""
+    seen = []
+
+    def evaluate(model, f):
+        seen.append(f)
+        return evaluate_plain(model, f)
+
+    with mock.patch("wnocpower.blocks._evaluate", evaluate):
+        return _admissible(term, lo, hi, allow_extrapolation), seen
+
+
+def test_admissible_cuts_a_pae_past_100_percent_from_its_closed_form_bound():
+    hot = _term(BlockKind.PA, fit(1000.0, -0.02, 0.9, 309.3), 1.0)  # 100 % near 115.13 GHz
+    edge = math.nextafter(math.log(100.0 / 1000.0) / -0.02, math.inf)
+    got, seen = probed(hot, 1.0, 140.0, False)
+    assert got == (edge, 140.0) and len(seen) == len(set(seen)) == 4
+
+
+@settings(max_examples=500, deadline=None)
+@given(kind=st.sampled_from(list(BlockKind)), a=positive,
+       b=st.floats(allow_nan=False, allow_infinity=False), span=pairs, ends=pairs,
+       allow_extrapolation=st.booleans())
+def test_admissible_checks_no_frequency_twice(kind, a, b, span, ends, allow_extrapolation):
+    _, seen = probed(_term(kind, fit(a, b, *span), 1.0), *ends, allow_extrapolation)
+    assert len(seen) == len(set(seen)), seen

@@ -10,6 +10,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import wnocpower.chain as chain_module
 from wnocpower.blocks import MixerModel, OscModel, PaModel
 from wnocpower.chain import (
     _FLAG_TOKENS,
@@ -293,7 +294,8 @@ def test_recommend_finds_a_physical_band_narrower_than_half_the_range():
 
 
 # Answers pinned to the float. The bundle recommendation reaches only the range's lower end,
-# so these cover the slope bisection and the physical-bound bisection of blocks._admissible.
+# so these cover the slope search of chain._argmin and the physical-bound cut of
+# blocks._admissible.
 
 
 def test_recommend_pins_an_interior_minimum(bundle_models):
@@ -305,6 +307,28 @@ def test_recommend_pins_an_interior_minimum(bundle_models):
     assert bd.row == (74.28873187089798, 2.6523128101566478, 3.8849480425549467,
                       1.2184583497013035, 7.755719202412898, 0.3419815417416713,
                       0.500913963123664, 0.1571044951346648, "")
+
+
+def test_recommend_pins_the_interior_minimum_in_few_slope_probes(bundle_models, monkeypatch):
+    pa, osc, mix = bundle_models  # the case above; a bisection of the slope takes ~55 probes
+    probes, slope = [], chain_module._slope
+    monkeypatch.setattr(chain_module, "_slope",
+                        lambda rates, f: probes.append(f) or slope(rates, f))
+    rising = MixerModel(replace(mix.fom_fit, a=0.02, b=0.05))
+    f, _ = recommend_frequency(pa, osc, rising, cfg(mixer_out=-5.0, pa_out=0.0),
+                               FrequencyGhz(20.0), FrequencyGhz(140.0))
+    assert repr(f.value) == "74.28873187089798"
+    assert len(probes) <= 20 and len(set(probes)) == len(probes), probes
+
+
+def test_recommend_reaches_a_physical_end_past_the_closed_form_top():
+    # The efficiency 0.7 * exp(0.004 * f) is exactly 1 at 89.16873598468311 GHz, the float
+    # after the closed-form ln(1 / 0.7) / 0.004. The draw falls with f, so the answer is there.
+    osc, mix, base = OscModel(fit(0.7, b=0.004)), MixerModel(fit(1.0)), cfg(pa_out=None)
+    edge = 89.16873598468311
+    for lo in (edge, 80.0):
+        f, bd = recommend_frequency(None, osc, mix, base, FrequencyGhz(lo), FrequencyGhz(100.0))
+        assert f.value == edge and bd.osc_mw.value == 1.0
 
 
 def test_recommend_pins_the_physical_bound_of_a_pae_past_100_percent(bundle_models):

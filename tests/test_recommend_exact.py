@@ -15,7 +15,10 @@ range, computed here from the model formulas without the library:
   shortcut against a scan of all nodes on a few models.
 
 The recommendation must be admissible and no worse than that node, to
-within 1e-12, and a refusal must mean that no node is admissible.
+within 1e-12, and a refusal must mean that no node is admissible. The
+slope search itself must give the answer of a plain bisection of the
+slope sign (kept here as the reference), and on any valid chain the last
+float where the total falls.
 """
 
 import math
@@ -23,9 +26,12 @@ import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from wnocpower.blocks import MixerModel, OscModel, PaModel
-from wnocpower.chain import ChainConfig, NoAdmissiblePointError, recommend_frequency
+from test_library_contract import chains, frequencies
+from wnocpower.blocks import MixerModel, OscModel, PaModel, _dc
+from wnocpower.chain import (ChainConfig, NoAdmissiblePointError, _admissible_interval, _argmin,
+                             _terms, recommend_frequency)
 from wnocpower.regression import ExpFitModel
 from wnocpower.units import FrequencyGhz, PowerDbm
 
@@ -185,3 +191,71 @@ def test_exact_recommendation_is_no_worse_than_the_best_grid_node():
 def test_reference_matches_a_full_scan(seed):
     ref = Reference(*random_case(seed))
     assert ref.best_node() == ref.best_node_by_full_scan()
+
+
+def falling(terms, f):
+    """The total of ``terms`` falls at f: its slope, sum(-b_i * P_i(f)), is negative."""
+    return sum([t.fit.b * _dc(t, f)[0] for t in terms if t.fit.b]) > 0
+
+
+def bisected_argmin(terms, lo, hi):
+    """The last float of the interval from ``lo`` where the total falls, by plain bisection
+    of the slope sign; ``lo`` if it does not fall there."""
+    if not (lo < hi and falling(terms, lo)):
+        return lo
+    if falling(terms, hi):
+        return hi
+    good, bad = lo, hi
+    while (mid := good + (bad - good) / 2) not in (good, bad):
+        good, bad = (mid, bad) if falling(terms, mid) else (good, mid)
+    return good
+
+
+def test_slope_search_equals_a_plain_bisection():
+    interior = 0
+    for seed in range(400):
+        fits, cfg, lo, hi, allow = random_case(seed)
+        pa = PaModel(fits["PA"]) if cfg.p_pa_out is not None else None
+        terms = _terms(pa, OscModel(fits["OSC"]), MixerModel(fits["MIXER"]), cfg)
+        f_lo, f_hi = _admissible_interval(terms, lo, hi, allow)
+        if f_lo > f_hi:
+            continue
+        f = _argmin(terms, f_lo, f_hi)
+        assert f == bisected_argmin(terms, f_lo, f_hi), f"seed {seed}"
+        interior += f_lo < f < f_hi
+    assert interior >= 20, interior
+
+
+def assert_last_falling_float(terms, lo, hi):
+    """``_argmin`` on [lo, hi] returns ``lo`` where the total does not fall there, else a float
+    where it falls that is ``hi`` or where it does not fall at the next float."""
+    f = _argmin(terms, lo, hi)
+    assert lo <= f <= hi
+    if f == lo and not (lo < hi and falling(terms, lo)):
+        return "lo"
+    assert falling(terms, f) and (f == hi or not falling(terms, math.nextafter(f, hi)))
+    return "hi" if f == hi else "interior"
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain=chains(), ends=st.lists(frequencies, min_size=2, max_size=2), allow=st.booleans())
+def test_slope_search_returns_the_last_float_where_the_total_falls(chain, ends, allow):
+    pa, osc, mix, cfg = chain
+    try:
+        terms = _terms(pa, osc, mix, cfg)
+    except ValueError:  # a level past the float range
+        return
+    lo, hi = _admissible_interval(terms, min(ends), max(ends), allow)
+    if lo <= hi:
+        assert_last_falling_float(terms, lo, hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(400, 2**32))
+def test_slope_search_returns_the_last_float_where_a_random_case_falls(seed):
+    fits, cfg, lo, hi, _allow = random_case(seed)
+    pa = PaModel(fits["PA"]) if cfg.p_pa_out is not None else None
+    terms = _terms(pa, OscModel(fits["OSC"]), MixerModel(fits["MIXER"]), cfg)
+    lo, hi = _admissible_interval(terms, lo, hi, True)
+    if lo <= hi:
+        assert_last_falling_float(terms, lo, hi)

@@ -124,7 +124,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workdir", type=Path, default=None,
-                        help="where the two checkouts go (default: the system temp directory)")
+                        help="where the two checkouts go, made if missing (default: the "
+                        "system temp directory)")
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("quartiles need at least 2 pairs")
@@ -132,6 +133,8 @@ def main(argv: list[str] | None = None) -> int:
         parser.error(f"{args.pairs} pairs need {args.pairs} seeds (got {len(args.seeds)})")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
 
+    if args.workdir is not None:
+        args.workdir.mkdir(parents=True, exist_ok=True)
     scratch = Path(tempfile.mkdtemp(prefix="bench-pairs-", dir=args.workdir))
     try:
         trees = {"parent": scratch / "parent", "change": scratch / "change"}
