@@ -104,8 +104,9 @@ def _admissible(term: _Term, lo: float, hi: float, allow_extrapolation: bool) ->
     FoM(f) = a * exp(b * f) is monotone, so that is one interval, and the range check of the
     evaluator settles each end of it to the float, at no point twice. An end that is not
     physical is cut back from one that is or, if neither is, from the closed-form f where
-    the FoM is half its top, which then lies inside. The closed-form f where the FoM reaches
-    its top is only where the cut toward the rising FoM starts."""
+    the FoM is half its top, which then lies inside. The cut toward the rising FoM starts at
+    the closed-form f where the FoM reaches its top, or one ulp past ``good`` where that f
+    rounds short of it."""
     def ok(f: float) -> bool:  # the range check of _dc
         fom = _evaluate(term.fit, f)[0]
         return term.fom_lo < fom < inf and fom <= term.fom_hi
@@ -124,6 +125,7 @@ def _admissible(term: _Term, lo: float, hi: float, allow_extrapolation: bool) ->
     elif not (b and lo < (good := log(fom_hi / 2 / a) / b) < hi and ok(good)):
         return inf, -inf
     top = log(fom_hi / a) / b
+    top = max(top, nextafter(good, inf)) if b > 0 else min(top, nextafter(good, -inf))
     return (lo if ok_lo else _edge(ok, good, lo, top)), (hi if ok_hi else _edge(ok, good, hi, top))
 
 

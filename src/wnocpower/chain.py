@@ -147,16 +147,22 @@ class PowerBreakdown:
 
 @dataclass(frozen=True)
 class SweepResult:
-    """Breakdowns over a strictly increasing frequency grid."""
+    """Chain evaluations over a strictly increasing frequency grid: the plot-CSV ``rows``, one
+    per frequency, and their ``levels``, as in ``PowerBreakdown``; entries are built on access."""
 
-    entries: tuple[tuple[FrequencyGhz, PowerBreakdown], ...]
+    rows: tuple
+    levels: tuple
 
     def __post_init__(self) -> None:
-        if not _strictly_increasing(f.value for f, _ in self.entries):
+        if not _strictly_increasing(row[0] for row in self.rows):
             raise ValueError("sweep frequencies must be strictly increasing")
 
+    @property
+    def entries(self) -> tuple[tuple[FrequencyGhz, PowerBreakdown], ...]:
+        return tuple((FrequencyGhz(row[0]), PowerBreakdown(row, self.levels)) for row in self.rows)
+
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.rows)
 
     def __iter__(self) -> Iterator[tuple[FrequencyGhz, PowerBreakdown]]:
         return iter(self.entries)
@@ -248,7 +254,8 @@ def sweep(
 
     All other config parameters stay fixed. A point fails exactly where
     its total is inf; the first such frequency is reported with what
-    ``chain_breakdown`` says there.
+    ``chain_breakdown`` says there. The result builds no breakdown until
+    its entries are read.
     """
     if len(frequencies) == 0:
         raise ValueError("sweep needs at least one frequency")
@@ -259,8 +266,7 @@ def sweep(
             chain_breakdown(pa, osc, mix, type(base_cfg)(failed, *_levels(base_cfg)))
         except ValueError as exc:
             raise ValueError(f"sweep failed at {failed.value} GHz: {exc}") from None
-    levels = _levels(base_cfg)
-    return SweepResult(tuple(zip(frequencies, [PowerBreakdown(row, levels) for row in rows])))
+    return SweepResult(tuple(rows), _levels(base_cfg))
 
 
 def _column_rows(terms: tuple, freqs: list) -> list:
@@ -394,17 +400,18 @@ SWEEP_CSV_COLUMNS = (
 
 
 _CSV_HEADER = ",".join(SWEEP_CSV_COLUMNS) + "\n"
-_CSV_ROW = "%r,%r,%r,%r,%r,%r,%r,%r,%s\n"
 
 
-def breakdowns_to_csv(breakdowns: Sequence[PowerBreakdown]) -> str:
-    """Plot-ready CSV for any row sequence (a sweep, or stacked sweeps).
+def breakdowns_to_csv(breakdowns: SweepResult | Sequence[PowerBreakdown]) -> str:
+    """Plot-ready CSV of a sweep's rows, or of any breakdown sequence (stacked sweeps).
 
     Numbers are written by ``repr``, the shortest form that reads back to
     the same float. No field ever needs quoting: every field is a number
     or an extrapolated-blocks cell, block tokens joined by ";", which
     holds no comma, quote or line break."""
-    return _CSV_HEADER + "".join([_CSV_ROW % bd.row for bd in breakdowns])
+    rows = breakdowns.rows if isinstance(breakdowns, SweepResult) else [bd.row for bd in breakdowns]
+    return _CSV_HEADER + "".join([f"{f!r},{p!r},{o!r},{m!r},{t!r},{pf!r},{of!r},{mf!r},{cell}\n"
+                                  for f, p, o, m, t, pf, of, mf, cell in rows])
 
 
 def breakdown_to_dict(bd: PowerBreakdown) -> dict:

@@ -21,7 +21,7 @@ import hashlib
 import json
 import re
 import sys
-from datetime import datetime, timezone
+import time
 from functools import partial
 from itertools import islice
 from pathlib import Path
@@ -98,7 +98,7 @@ def _write_result(path: Path, write, args: argparse.Namespace, inputs: Sequence[
                        for k, v in vars(args).items() if k != "func" and v is not None},
         "input_digests": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs},
         "tool_version": __version__,
-        "timestamp": datetime.now(timezone.utc).isoformat(timespec="seconds"),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
     }
     write()
     sidecar = Path(f"{path}.manifest.json")
@@ -283,9 +283,9 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         for base in bases:
             points = grid()
             while chunk := [FrequencyGhz(f) for f in islice(points, _SWEEP_CHUNK)]:
-                rows = [bd for _f, bd in sweep(pa, osc, mix, base, chunk)]
-                extrapolated = extrapolated or any(bd.any_extrapolated for bd in rows)
-                text = breakdowns_to_csv(rows)
+                result = sweep(pa, osc, mix, base, chunk)
+                extrapolated = extrapolated or any(row[8] for row in result.rows)
+                text = breakdowns_to_csv(result)
                 yield text if header else text[text.index("\n") + 1:]
                 header = False
 

@@ -319,6 +319,18 @@ def test_admissible_cuts_a_pae_past_100_percent_from_its_closed_form_bound():
     assert got == (edge, 140.0) and len(seen) == len(set(seen)) == 4
 
 
+@pytest.mark.parametrize("a, b, ends, edge", [
+    # ln(1 / 0.7) / 0.004 rounds to the float below 89.16873598468311, the last physical one.
+    (0.7, 0.004, (89.16873598468311, 100.0), 89.16873598468311),
+    # ln(1 / 1.013) / -0.004 rounds to 3.229056316636544, past the first physical float.
+    (1.013, -0.004, (1.0, 3.22905631663653), 3.22905631663653),
+])
+def test_admissible_cuts_one_ulp_past_a_good_end_that_the_closed_form_top_falls_short_of(
+        a, b, ends, edge):
+    got, seen = probed(_term(BlockKind.OSCILLATOR, fit(a, b), 1.0), *ends, False)
+    assert got == (edge, edge) and len(seen) == len(set(seen)) <= 4
+
+
 @settings(max_examples=500, deadline=None)
 @given(kind=st.sampled_from(list(BlockKind)), a=positive,
        b=st.floats(allow_nan=False, allow_infinity=False), span=pairs, ends=pairs,

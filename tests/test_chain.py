@@ -211,7 +211,25 @@ def test_sweep_result_rejects_unsorted_entries():
     pa, osc, mix = constant_models()
     bd = chain_breakdown(pa, osc, mix, cfg())
     with pytest.raises(ValueError, match="strictly increasing"):
-        SweepResult(((FrequencyGhz(60.0), bd), (FrequencyGhz(30.0), bd)))
+        SweepResult(((60.0, *bd.row[1:]), (30.0, *bd.row[1:])), bd.levels)
+
+
+def test_row_backed_sweep_result_agrees_with_pointwise_breakdowns(bundle_models):
+    pa, osc, mix = bundle_models
+    base = cfg(mixer_out=-5.0, pa_out=3.0)
+    freqs = [FrequencyGhz(f) for f in frequency_grid(20.0, 250.0, 37)]  # across 140 GHz
+    result = sweep(pa, osc, mix, base, freqs)
+    expected = tuple((f, chain_breakdown(pa, osc, mix, replace(base, frequency=f)))
+                     for f in freqs)
+    assert result.entries == expected
+    assert tuple(result) == expected
+    assert len(result) == len(expected)
+    assert result == SweepResult(tuple(bd.row for _f, bd in expected), expected[0][1].levels)
+    assert result != sweep(pa, osc, mix, replace(base, p_mixer_out=PowerDbm(-6.0)), freqs)
+    kinds = (BlockKind.PA, BlockKind.OSCILLATOR, BlockKind.MIXER)  # ties go to the first
+    assert dominance_report(result) == [(f, kinds[max(range(3), key=bd.fractions.__getitem__)])
+                                        for f, bd in expected]
+    assert breakdowns_to_csv(result) == breakdowns_to_csv([bd for _f, bd in expected])
 
 
 # --- recommendation ---------------------------------------------------------------
@@ -392,7 +410,7 @@ def test_dominant_share_is_at_least_one_third():
 
 def test_dominance_rejects_empty_sweep():
     with pytest.raises(ValueError, match="non-empty"):
-        dominance_report(SweepResult(()))
+        dominance_report(SweepResult((), ()))
 
 
 # --- serialization ---------------------------------------------------------------

@@ -1,4 +1,7 @@
+import hashlib
 import json
+import re
+from datetime import datetime, timezone
 from pathlib import Path
 
 import pytest
@@ -13,6 +16,8 @@ from wnocpower.units import FrequencyGhz
 BUNDLE = default_bundle()
 # The outputs of the README commands on the shipped surveys, as the CI step runs them.
 GOLDEN = Path(__file__).parent / "data" / "bundle"
+# SHA-256 of multi-chunk, multi-level CLI sweeps on the golden models, each with its argv.
+SWEEP_DIGESTS = GOLDEN.parent / "sweep"
 
 
 @pytest.fixture()
@@ -680,6 +685,48 @@ def test_sweep_across_chunk_boundaries_matches_library_csv(models, tmp_path, cap
             for _f, bd in sweep(pa, osc, mix, ChainConfig(grid[0], PowerDbm(level),
                                                           p_pa_out=PowerDbm(3.0)), grid)]
     assert out.read_text() == breakdowns_to_csv(rows)
+
+
+@pytest.mark.parametrize("name", ["pa_two_levels", "no_pa_three_levels"])
+def test_multi_chunk_sweeps_write_their_recorded_bytes(tmp_path, capsys, name):
+    # Both grids cross the mixer's 140 GHz span end and take three chunks per level.
+    digests = {csv_name: digest for digest, csv_name in
+               (line.split() for line in (SWEEP_DIGESTS / "SHA256SUMS").read_text().splitlines())}
+    argv = (SWEEP_DIGESTS / f"{name}.argv").read_text().split()
+    out = tmp_path / f"{name}.csv"
+    assert main(["sweep", "--pa-model", str(GOLDEN / "pa.json"), "--osc-model",
+                 str(GOLDEN / "osc.json"), "--mixer-model", str(GOLDEN / "mix.json"),
+                 *argv, "--out", str(out)]) == EXIT_OK
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digests[out.name]
+
+
+def test_cli_sweep_builds_no_breakdown_per_row(models, tmp_path, capsys, monkeypatch):
+    import wnocpower.chain as chain
+
+    built = []
+    real = chain.PowerBreakdown
+
+    def counted(*args):
+        built.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(chain, "PowerBreakdown", counted)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *model_flags(models), "--range", "20:250:2049", "--levels", "-10,-5",
+                 "--p-pa-out", "3", "--out", str(out)]) == EXIT_OK
+    assert "wrote 4098 rows" in capsys.readouterr().out
+    assert built == []
+
+
+def test_manifest_timestamp_is_utc_to_the_second(models, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    before = datetime.now(timezone.utc).replace(microsecond=0)
+    assert main(["sweep", *model_flags(models), "--freqs", "30,60", "--p-mixer-out", "-5",
+                 "--out", str(out)]) == EXIT_OK
+    after = datetime.now(timezone.utc)
+    stamp = json.loads(Path(f"{out}.manifest.json").read_text())["timestamp"]
+    assert re.fullmatch(r"\d{4}-\d\d-\d\dT\d\d:\d\d:\d\d\+00:00", stamp), stamp
+    assert before <= datetime.fromisoformat(stamp) <= after
 
 
 def test_sweep_failure_after_the_first_chunk_keeps_the_previous_result(tmp_path, capsys):
