@@ -13,8 +13,11 @@ turns a requested operating point into DC power in milliwatts:
 A figure of merit evaluated outside its physical range (the survey
 module's table) is a hard error, never a clamp: it means the trend was
 pushed somewhere it cannot describe, and hiding that would defeat the
-extrapolation flagging. Every evaluator returns the flag of the
-underlying fit alongside the power.
+extrapolation flagging. A block at fixed levels is one term, ``_Term``:
+``_block_dc`` evaluates it at a point and ``_dcs`` over a column of
+frequencies, each with the fit's flag, and ``_slope`` gives the slope of a
+total. The column loop (dense-sweep benchmark) and the per-probe loop
+(recommend-scan) stay apart: each measured slower via a per-point helper.
 """
 
 from __future__ import annotations
@@ -53,39 +56,38 @@ class MixerModel:
     kind: ClassVar[BlockKind] = BlockKind.MIXER
 
 
-# One block at fixed levels: P_DC(f) = num / (scale * FoM(f)) mW, with FoM the fitted trend in
-# its survey unit, scale that unit as a plain number (0.01 for PAE in %), and
-# fom_lo < FoM <= fom_hi, FoM finite, its physical range.
-_Term = namedtuple("_Term", "kind fit num scale fom_lo fom_hi")
+# One block at fixed levels: P_DC(f) = num / (scale * FoM(f)) mW, with FoM(f) = a * exp(b * f)
+# the fitted trend ``fit`` in its survey unit, scale that unit as a plain number (0.01 for
+# PAE in %), and fom_lo < FoM <= fom_hi, FoM finite, its physical range.
+_Term = namedtuple("_Term", "a b num scale fom_lo fom_hi kind fit")
 
 
 def _term(kind: BlockKind, fit: ExpFitModel, num: float) -> _Term:
     """The term of a block with FoM trend ``fit`` and numerator ``num`` mW; its scale and
     physical range are the block's ``survey._METRIC_RANGE`` row."""
     fom_lo, fom_hi, _unit, scale, _problem = _METRIC_RANGE[kind]
-    return _Term(kind, fit, num, scale, fom_lo, fom_hi)
+    return _Term(fit.a, fit.b, num, scale, fom_lo, fom_hi, kind, fit)
 
 
-def _dc(term: _Term, f: float) -> tuple[float, bool]:
-    """The term's DC power in mW at f GHz and whether f is outside the fitted span.
-
-    Raises if FoM(f) is unphysical, a FoM past the float range included.
-    A power past the float range, or over a subnormal PAE whose 1 % is 0, is inf."""
-    kind, fit, num, scale, fom_lo, fom_hi = term
-    fom, extrapolated = _evaluate(fit, f)
+def _block_dc(term: _Term, f: FrequencyGhz) -> tuple[PowerMilliwatt, bool]:
+    """The term's DC power at f and whether f is outside the fitted span. Raises at an unphysical
+    FoM, one past the float range included, and at an inf power (a subnormal PAE's 1 % is 0)."""
+    _a, _b, num, scale, fom_lo, fom_hi, kind, fit = term
+    fom, extrapolated = _evaluate(fit, f.value)
     if not fom_lo < fom < inf or fom > fom_hi:
-        _check_metric(kind, fom, f)
+        _check_metric(kind, fom, f.value)
     denominator = scale * fom
-    return (num / denominator if denominator else inf), extrapolated
+    if not denominator or (mw := num / denominator) == inf:
+        raise ValueError(f"{kind.token} draw at {f.value} GHz: "
+                         "power in mW must be finite (got inf)")
+    return PowerMilliwatt(mw), extrapolated
 
 
 def _dcs(term: _Term, freqs: Sequence[float]) -> tuple[list, list]:
-    """``_dc`` over a column of frequencies: the powers and the extrapolation flags.
-
-    The same expressions in the same order, with the term's fields read
-    once. Where ``_dc`` raises, at an unphysical FoM, the power is inf."""
-    _kind, fit, num, scale, fom_lo, fom_hi = term
-    a, b, valid_lo, valid_hi = fit.a, fit.b, fit.valid_lo.value, fit.valid_hi.value
+    """``_block_dc`` over a column of plain frequencies, with the term's fields read once:
+    the powers, inf where ``_block_dc`` raises, and the extrapolation flags."""
+    a, b, num, scale, fom_lo, fom_hi, _kind, fit = term
+    valid_lo, valid_hi = fit.valid_lo.value, fit.valid_hi.value
     powers = []
     for f in freqs:
         try:
@@ -95,6 +97,24 @@ def _dcs(term: _Term, freqs: Sequence[float]) -> tuple[list, list]:
         denominator = scale * fom if fom_lo < fom < inf and fom <= fom_hi else 0.0
         powers.append(num / denominator if denominator else inf)
     return powers, [f < valid_lo or f > valid_hi for f in freqs]
+
+
+def _slope(terms: Sequence[_Term], f: float) -> tuple[float, float]:
+    """-T'(f) = sum(b_i * P_i(f)) for T the total of ``terms``, and its derivative
+    sum(-b_i**2 * P_i(f)). Each P_i is ``_block_dc``'s, inf past the float range, and the
+    first sum adds the same list in the same order, so that it is > 0 exactly where T falls."""
+    parts, curvature = [], []
+    for a, b, num, scale, fom_lo, fom_hi, kind, _fit in terms:
+        try:
+            fom = a * exp(b * f)
+        except OverflowError:
+            fom = inf
+        if not fom_lo < fom < inf or fom > fom_hi:
+            _check_metric(kind, fom, f)
+        denominator = scale * fom
+        parts.append(part := b * (num / denominator if denominator else inf))
+        curvature.append(-b * part)
+    return sum(parts), sum(curvature)
 
 
 def _admissible(term: _Term, lo: float, hi: float, allow_extrapolation: bool) -> tuple:
@@ -107,19 +127,20 @@ def _admissible(term: _Term, lo: float, hi: float, allow_extrapolation: bool) ->
     the FoM is half its top, which then lies inside. The cut toward the rising FoM starts at
     the closed-form f where the FoM reaches its top, or one ulp past ``good`` where that f
     rounds short of it."""
-    def ok(f: float) -> bool:  # the range check of _dc
-        fom = _evaluate(term.fit, f)[0]
-        return term.fom_lo < fom < inf and fom <= term.fom_hi
+    a, b, _num, _scale, fom_lo, fom_hi, _kind, fit = term  # b == 0 passes both ends or neither
+
+    def ok(f: float) -> bool:  # the range check of _block_dc
+        fom = _evaluate(fit, f)[0]
+        return fom_lo < fom < inf and fom <= fom_hi
 
     if not allow_extrapolation:
-        lo, hi = max(lo, term.fit.valid_lo.value), min(hi, term.fit.valid_hi.value)
+        lo, hi = max(lo, fit.valid_lo.value), min(hi, fit.valid_hi.value)
     if lo > hi:
         return inf, -inf
     ok_lo = ok(lo)
     ok_hi = ok_lo if lo == hi else ok(hi)
     if ok_lo and ok_hi:
         return lo, hi
-    a, b, fom_hi = term.fit.a, term.fit.b, term.fom_hi  # b == 0 passes both ends or neither
     if ok_lo or ok_hi:
         good = lo if ok_lo else hi
     elif not (b and lo < (good := log(fom_hi / 2 / a) / b) < hi and ok(good)):
@@ -158,15 +179,6 @@ def _pa_numerator(p_in: PowerDbm, p_out: PowerDbm) -> float:
 def _mixer_numerator(p_if_in: PowerDbm, p_rf_out: PowerDbm) -> float:
     """Linear conversion gain P_RF_out / P_IF_in (a loss when below one)."""
     return _dbm_mw(p_rf_out.value) / _dbm_mw(p_if_in.value)
-
-
-def _block_dc(term: _Term, f: FrequencyGhz) -> tuple[PowerMilliwatt, bool]:
-    """``_dc`` at f as a power; a draw past the float range is an error naming the block."""
-    mw, extrapolated = _dc(term, f.value)
-    if mw == inf:
-        raise ValueError(f"{term.kind.token} draw at {f.value} GHz: "
-                         "power in mW must be finite (got inf)")
-    return PowerMilliwatt(mw), extrapolated
 
 
 def pa_dc_power(

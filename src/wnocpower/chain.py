@@ -8,26 +8,25 @@ it delivers to the LO port, and the surveyed mixer figures already
 include their LO-drive and bias power, so nothing is double counted.
 
 Each block is one exponential term of the frequency (``blocks._Term``),
-evaluated by one function (``blocks._dc``; ``blocks._dcs`` over a column
-of frequencies and ``_slope`` for the slope of the total take the same
-expressions). On top of single-point breakdowns the module provides
-frequency sweeps, the exact minimum-power operating frequency (the total
-is a sum of positive exponentials, hence convex), and a per-frequency
-dominant-block report. Only ``chain_breakdown`` names a fault at a point:
-a sweep or a recommendation that fails reports what it says there, so the
-three commands name the same fault for the same inputs.
+which ``blocks`` evaluates; this module only composes and searches. On
+top of single-point breakdowns it provides frequency sweeps, the exact
+minimum-power operating frequency (the total is a sum of positive
+exponentials, hence convex), and a per-frequency dominant-block report.
+Only ``chain_breakdown`` names a fault at a point: a sweep or a
+recommendation that fails reports what it says there, so the three
+commands name the same fault for the same inputs.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import pairwise, product, repeat
-from math import exp, inf, isfinite, nan, nextafter
+from math import inf, isfinite, nan, nextafter
 from typing import Iterable, Iterator, Sequence
 
 from .blocks import (MixerModel, OscModel, PaModel, _admissible, _dcs, _mixer_numerator,
-                     _pa_numerator, _term, mixer_dc_power, osc_dc_power, pa_dc_power)
-from .survey import BlockKind, _check_metric
+                     _pa_numerator, _slope, _term, mixer_dc_power, osc_dc_power, pa_dc_power)
+from .survey import BlockKind
 from .units import FrequencyGhz, PowerDbm, PowerMilliwatt, _dbm_mw
 
 
@@ -154,8 +153,7 @@ class SweepResult:
     levels: tuple
 
     def __post_init__(self) -> None:
-        if not _strictly_increasing(row[0] for row in self.rows):
-            raise ValueError("sweep frequencies must be strictly increasing")
+        _check_increasing(row[0] for row in self.rows)
 
     @property
     def entries(self) -> tuple[tuple[FrequencyGhz, PowerBreakdown], ...]:
@@ -168,9 +166,10 @@ class SweepResult:
         return iter(self.entries)
 
 
-def _strictly_increasing(values: Iterable[float]) -> bool:
-    """False if some value is <= the one before it. Takes any iterable in O(1) memory."""
-    return not any(b <= a for a, b in pairwise(values))
+def _check_increasing(frequencies: Iterable[float]) -> None:
+    """Raise unless each frequency exceeds the one before it. Takes any iterable in O(1) memory."""
+    if any(b <= a for a, b in pairwise(frequencies)):
+        raise ValueError("sweep frequencies must be strictly increasing")
 
 
 def frequency_grid(lo: float, hi: float, n: int) -> Iterator[float]:
@@ -273,7 +272,7 @@ def _column_rows(terms: tuple, freqs: list) -> list:
     """The rows of ``freqs``, each term evaluated over the whole column first.
 
     A point where ``chain_breakdown`` raises has an inf total: the same
-    arithmetic, with ``blocks._dcs`` giving inf where ``blocks._dc`` raises."""
+    arithmetic, with ``blocks._dcs`` giving inf where ``blocks._block_dc`` raises."""
     (mixer_mw, mixer_ex), (osc_mw, osc_ex), *pa = [_dcs(term, freqs) for term in terms]
     pa_mw, pa_ex = pa[0] if pa else (repeat(0.0), repeat(False))
     return [_row(f, p, o, m, flags) for f, p, o, m, flags
@@ -332,11 +331,10 @@ def _argmin(terms: tuple, lo: float, hi: float) -> float:
     strictly between them. Otherwise it probes the float next to Newton's point inside the
     bracket, and the midpoint on a second such stall in a row, or when six probes have not
     halved the bracket. It stops when ``good`` and ``bad`` are adjacent floats."""
-    rates = [(t.fit.a, t.fit.b, t.num, t.scale, t.fom_lo, t.fom_hi, t.kind)
-             for t in terms if t.fit.b]  # a rate of 0 adds nothing, even to an inf power
-    if not (lo < hi and _slope(rates, lo)[0] > 0):
+    terms = [t for t in terms if t.b]  # a rate of 0 adds nothing, even to an inf power
+    if not (lo < hi and _slope(terms, lo)[0] > 0):
         return lo
-    f, (h, dh) = hi, _slope(rates, hi)
+    f, (h, dh) = hi, _slope(terms, hi)
     if h > 0:
         return hi
     good, bad, stalled, widths = lo, hi, False, [hi - lo] * 6
@@ -349,29 +347,9 @@ def _argmin(terms: tuple, lo: float, hi: float) -> float:
             x = nextafter(bad, good) if x >= bad else nextafter(good, bad)
         stalled = stall
         widths.append(bad - good)
-        f, (h, dh) = x, _slope(rates, x)
+        f, (h, dh) = x, _slope(terms, x)
         good, bad = (x, bad) if h > 0 else (good, x)
     return good
-
-
-def _slope(rates: list, f: float) -> tuple[float, float]:
-    """-T'(f) = sum(b_i * P_i(f)) over ``rates`` (a, b, num, scale, fom_lo, fom_hi, kind of
-    each term with a non-zero rate), and its derivative sum(-b_i**2 * P_i(f)).
-
-    Each P_i is ``blocks._dc``'s expression, range check and inf cases, and the first sum
-    adds the same list in the same order, so that it is > 0 exactly where T falls."""
-    parts, curvature = [], []
-    for a, b, num, scale, fom_lo, fom_hi, kind in rates:
-        try:
-            fom = a * exp(b * f)
-        except OverflowError:
-            fom = inf
-        if not fom_lo < fom < inf or fom > fom_hi:
-            _check_metric(kind, fom, f)
-        denominator = scale * fom
-        parts.append(part := b * (num / denominator if denominator else inf))
-        curvature.append(-b * part)
-    return sum(parts), sum(curvature)
 
 
 def dominance_report(result: SweepResult) -> list[tuple[FrequencyGhz, BlockKind]]:

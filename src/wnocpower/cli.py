@@ -34,7 +34,7 @@ from .chain import (
     NoAdmissiblePointError,
     PowerBreakdown,
     _admissible_interval,
-    _strictly_increasing,
+    _check_increasing,
     _terms,
     breakdown_to_dict,
     breakdowns_to_csv,
@@ -270,8 +270,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # its boundary, and a --range step below one ulp repeats a frequency. Every
     # frequency is validated in the same pass, so it is reported before a model file
     # is read or a bad level is.
-    if not _strictly_increasing(FrequencyGhz(f).value for f in grid()):
-        raise ValueError("sweep frequencies must be strictly increasing")
+    _check_increasing(FrequencyGhz(f).value for f in grid())
     pa, osc, mix = _load_chain_models(args)
     bases = [_chain_config(first, level, args.p_if, args.p_pa_out, args.p_osc_rf)
              for level in levels]

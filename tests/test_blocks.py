@@ -5,13 +5,16 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from wnocpower.blocks import (
     MixerModel,
     OscModel,
     PaModel,
     _admissible,
+    _block_dc,
+    _dcs,
+    _slope,
     _term,
     conversion_gain_db,
     mixer_dc_power,
@@ -338,3 +341,24 @@ def test_admissible_cuts_one_ulp_past_a_good_end_that_the_closed_form_top_falls_
 def test_admissible_checks_no_frequency_twice(kind, a, b, span, ends, allow_extrapolation):
     _, seen = probed(_term(kind, fit(a, b, *span), 1.0), *ends, allow_extrapolation)
     assert len(seen) == len(set(seen)), seen
+
+
+# --- the column and slope loops ---------------------------------------------------
+
+
+@settings(max_examples=1000, deadline=None)
+@given(kind=st.sampled_from(list(BlockKind)), a=positive,
+       b=st.floats(allow_nan=False, allow_infinity=False), span=pairs, num=positive, f=positive)
+@example(kind=BlockKind.PA, a=100.0, b=0.0, span=[1.0, 2.0], num=1.0, f=60.0)  # FoM at its top
+@example(kind=BlockKind.OSCILLATOR, a=1.0, b=0.0, span=[1.0, 2.0], num=1.0, f=60.0)
+def test_column_and_slope_loops_agree_with_the_point_evaluator(kind, a, b, span, num, f):
+    term = _term(kind, fit(a, b, *span), num)
+    (power,), (flag,) = _dcs(term, [f])
+    try:
+        mw, extrapolated = _block_dc(term, FrequencyGhz(f))
+    except ValueError:  # an unphysical FoM or an inf power
+        assert power == math.inf
+        return
+    assert (power, flag) == (mw.value, extrapolated)
+    part = b * power
+    assert _slope([term], f) == (part, -b * part)

@@ -29,7 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_library_contract import chains, frequencies
-from wnocpower.blocks import MixerModel, OscModel, PaModel, _dc
+from wnocpower.blocks import MixerModel, OscModel, PaModel, _dcs
 from wnocpower.chain import (ChainConfig, NoAdmissiblePointError, _admissible_interval, _argmin,
                              _terms, recommend_frequency)
 from wnocpower.regression import ExpFitModel
@@ -195,7 +195,7 @@ def test_reference_matches_a_full_scan(seed):
 
 def falling(terms, f):
     """The total of ``terms`` falls at f: its slope, sum(-b_i * P_i(f)), is negative."""
-    return sum([t.fit.b * _dc(t, f)[0] for t in terms if t.fit.b]) > 0
+    return sum([t.fit.b * _dcs(t, (f,))[0][0] for t in terms if t.fit.b]) > 0
 
 
 def bisected_argmin(terms, lo, hi):
