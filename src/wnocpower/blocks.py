@@ -10,13 +10,13 @@ turns a requested operating point into DC power in milliwatts:
           DC power (so passive mixers with conversion loss still draw
           the LO-drive and bias power embedded in the surveyed figures).
 
-A figure of merit evaluated outside its physical range (the survey
-module's table) is a hard error, never a clamp: it means the trend was
-pushed somewhere it cannot describe, and hiding that would defeat the
-extrapolation flagging. A block at fixed levels is one term, ``_Term``:
-``_block_dc`` evaluates it at a point and ``_dcs`` over a column of
-frequencies, each with the fit's flag, and ``_slope`` gives the slope of a
-total. The column loop (dense-sweep benchmark) and the per-probe loop
+A figure of merit evaluated outside its physical range (the survey module's
+table) is a hard error, never a clamp: it means the trend was pushed
+somewhere it cannot describe, and hiding that would defeat the extrapolation
+flagging. A block at fixed levels is one term, ``_Term``: ``_block_dc``
+evaluates it at a point and ``_dcs`` over a column of frequencies, each with
+the fit's flag, and ``_slope`` the slope of a total at admissible points
+only. The column loop (dense-sweep benchmark) and the per-probe loop
 (recommend-scan) stay apart: each measured slower via a per-point helper.
 """
 
@@ -58,23 +58,23 @@ class MixerModel:
 
 # One block at fixed levels: P_DC(f) = num / (scale * FoM(f)) mW, with FoM(f) = a * exp(b * f)
 # the fitted trend ``fit`` in its survey unit, scale that unit as a plain number (0.01 for
-# PAE in %), and fom_lo < FoM <= fom_hi, FoM finite, its physical range.
-_Term = namedtuple("_Term", "a b num scale fom_lo fom_hi kind fit")
+# PAE in %), and 0 < FoM <= fom_hi, FoM finite, its physical range.
+_Term = namedtuple("_Term", "a b num scale fom_hi kind fit")
 
 
 def _term(kind: BlockKind, fit: ExpFitModel, num: float) -> _Term:
     """The term of a block with FoM trend ``fit`` and numerator ``num`` mW; its scale and
     physical range are the block's ``survey._METRIC_RANGE`` row."""
-    fom_lo, fom_hi, _unit, scale, _problem = _METRIC_RANGE[kind]
-    return _Term(fit.a, fit.b, num, scale, fom_lo, fom_hi, kind, fit)
+    fom_hi, _unit, scale, _problem = _METRIC_RANGE[kind]
+    return _Term(fit.a, fit.b, num, scale, fom_hi, kind, fit)
 
 
 def _block_dc(term: _Term, f: FrequencyGhz) -> tuple[PowerMilliwatt, bool]:
     """The term's DC power at f and whether f is outside the fitted span. Raises at an unphysical
     FoM, one past the float range included, and at an inf power (a subnormal PAE's 1 % is 0)."""
-    _a, _b, num, scale, fom_lo, fom_hi, kind, fit = term
+    _a, _b, num, scale, fom_hi, kind, fit = term
     fom, extrapolated = _evaluate(fit, f.value)
-    if not fom_lo < fom < inf or fom > fom_hi:
+    if not 0.0 < fom < inf or fom > fom_hi:
         _check_metric(kind, fom, f.value)
     denominator = scale * fom
     if not denominator or (mw := num / denominator) == inf:
@@ -86,7 +86,7 @@ def _block_dc(term: _Term, f: FrequencyGhz) -> tuple[PowerMilliwatt, bool]:
 def _dcs(term: _Term, freqs: Sequence[float]) -> tuple[list, list]:
     """``_block_dc`` over a column of plain frequencies, with the term's fields read once:
     the powers, inf where ``_block_dc`` raises, and the extrapolation flags."""
-    a, b, num, scale, fom_lo, fom_hi, _kind, fit = term
+    a, b, num, scale, fom_hi, _kind, fit = term
     valid_lo, valid_hi = fit.valid_lo.value, fit.valid_hi.value
     powers = []
     for f in freqs:
@@ -94,24 +94,19 @@ def _dcs(term: _Term, freqs: Sequence[float]) -> tuple[list, list]:
             fom = a * exp(b * f)
         except OverflowError:
             fom = inf
-        denominator = scale * fom if fom_lo < fom < inf and fom <= fom_hi else 0.0
+        denominator = scale * fom if 0.0 < fom < inf and fom <= fom_hi else 0.0
         powers.append(num / denominator if denominator else inf)
     return powers, [f < valid_lo or f > valid_hi for f in freqs]
 
 
-def _slope(terms: Sequence[_Term], f: float) -> tuple[float, float]:
-    """-T'(f) = sum(b_i * P_i(f)) for T the total of ``terms``, and its derivative
-    sum(-b_i**2 * P_i(f)). Each P_i is ``_block_dc``'s, inf past the float range, and the
-    first sum adds the same list in the same order, so that it is > 0 exactly where T falls."""
+def _slope(terms: Sequence[tuple], f: float) -> tuple[float, float]:
+    """-T'(f) = sum(b_i * P_i(f)) for T the total of ``terms``, each a ``_Term``'s (a, b, num,
+    scale), and its derivative sum(-b_i**2 * P_i(f)). Every FoM must be physical at f, as on
+    ``_admissible``'s interval. Each P_i is ``_block_dc``'s, and the first sum adds the same
+    list in the same order, so that it is > 0 exactly where T falls."""
     parts, curvature = [], []
-    for a, b, num, scale, fom_lo, fom_hi, kind, _fit in terms:
-        try:
-            fom = a * exp(b * f)
-        except OverflowError:
-            fom = inf
-        if not fom_lo < fom < inf or fom > fom_hi:
-            _check_metric(kind, fom, f)
-        denominator = scale * fom
+    for a, b, num, scale in terms:
+        denominator = scale * (a * exp(b * f))
         parts.append(part := b * (num / denominator if denominator else inf))
         curvature.append(-b * part)
     return sum(parts), sum(curvature)
@@ -127,11 +122,11 @@ def _admissible(term: _Term, lo: float, hi: float, allow_extrapolation: bool) ->
     the FoM is half its top, which then lies inside. The cut toward the rising FoM starts at
     the closed-form f where the FoM reaches its top, or one ulp past ``good`` where that f
     rounds short of it."""
-    a, b, _num, _scale, fom_lo, fom_hi, _kind, fit = term  # b == 0 passes both ends or neither
+    a, b, _num, _scale, fom_hi, _kind, fit = term  # b == 0 passes both ends or neither
 
     def ok(f: float) -> bool:  # the range check of _block_dc
         fom = _evaluate(fit, f)[0]
-        return fom_lo < fom < inf and fom <= fom_hi
+        return 0.0 < fom < inf and fom <= fom_hi
 
     if not allow_extrapolation:
         lo, hi = max(lo, fit.valid_lo.value), min(hi, fit.valid_hi.value)

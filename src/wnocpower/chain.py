@@ -331,7 +331,7 @@ def _argmin(terms: tuple, lo: float, hi: float) -> float:
     strictly between them. Otherwise it probes the float next to Newton's point inside the
     bracket, and the midpoint on a second such stall in a row, or when six probes have not
     halved the bracket. It stops when ``good`` and ``bad`` are adjacent floats."""
-    terms = [t for t in terms if t.b]  # a rate of 0 adds nothing, even to an inf power
+    terms = [(t.a, t.b, t.num, t.scale) for t in terms if t.b]  # rate 0 adds 0, even to inf power
     if not (lo < hi and _slope(terms, lo)[0] > 0):
         return lo
     f, (h, dh) = hi, _slope(terms, hi)

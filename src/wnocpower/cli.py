@@ -220,7 +220,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     _write_result(args.out, lambda: save_model(args.out, block, model, digest),
                   args, [args.survey_csv])
 
-    unit = _METRIC_RANGE[block][2]
+    _hi, unit, _scale, _problem = _METRIC_RANGE[block]
     print(f"fitted {block.token} model from {args.survey_csv}")
     print(f"  points fitted    = {model.n_points} of {len(data)} ({strategy.tag} frontier)")
     print(f"  a                = {model.a:.6g} {unit}")

@@ -55,19 +55,19 @@ class BlockKind(enum.Enum):
         raise ValueError(f"unknown block kind {token!r} (expected PA, OSC or MIXER)")
 
 
-# Figure of merit per block: (exclusive low, inclusive high, unit, the factor that turns one
-# unit into the plain number that DC power divides by, problem outside).
+# Figure of merit per block, physical in (0, high] and finite: (high, unit, the factor that
+# turns one unit into the plain number that DC power divides by, problem outside).
 _METRIC_RANGE = {
-    BlockKind.PA: (0.0, 100.0, "%", 0.01, "is outside (0, 100]"),
-    BlockKind.OSCILLATOR: (0.0, 1.0, "(ratio)", 1.0, "is outside (0, 1]"),
-    BlockKind.MIXER: (0.0, math.inf, "1/mW", 1.0, "must be > 0 and finite"),
+    BlockKind.PA: (100.0, "%", 0.01, "is outside (0, 100]"),
+    BlockKind.OSCILLATOR: (1.0, "(ratio)", 1.0, "is outside (0, 1]"),
+    BlockKind.MIXER: (math.inf, "1/mW", 1.0, "must be > 0 and finite"),
 }
 
 
 def _check_metric(kind: BlockKind, metric: float, fit_ghz: float | None = None) -> None:
     """Raise unless ``metric``, surveyed or a fit's value at ``fit_ghz``, is physical."""
-    lo, hi, unit, _scale, problem = _METRIC_RANGE[kind]
-    if not math.isfinite(metric) or metric <= lo or metric > hi:
+    hi, unit, _scale, problem = _METRIC_RANGE[kind]
+    if not math.isfinite(metric) or metric <= 0.0 or metric > hi:
         what = "metric" if fit_ghz is None else f"fit at {fit_ghz} GHz"
         raise ValueError(f"{kind.token} {what} = {metric} {unit} {problem}")
 

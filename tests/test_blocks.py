@@ -361,4 +361,4 @@ def test_column_and_slope_loops_agree_with_the_point_evaluator(kind, a, b, span,
         return
     assert (power, flag) == (mw.value, extrapolated)
     part = b * power
-    assert _slope([term], f) == (part, -b * part)
+    assert _slope([(term.a, term.b, term.num, term.scale)], f) == (part, -b * part)

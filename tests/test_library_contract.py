@@ -6,25 +6,30 @@ text and bytes (byte-order marks, CR, NUL and stray quotes included),
 the model reader on any JSON value, the exponential fit on any finite
 positive points, the binned-max strategy on any bin count, and the chain
 (breakdown, sweep with its dominance report, recommendation) on any
-valid fits and levels.
+valid fits and levels. The recommendation's slope search, which checks no
+figure of merit itself, probes only points where every one is physical.
 """
 
 import math
+from dataclasses import replace
+from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
+import wnocpower.chain as chain_module
 from wnocpower.blocks import MixerModel, OscModel, PaModel
-from wnocpower.chain import (ChainConfig, chain_breakdown, dominance_report, recommend_frequency,
-                             sweep)
+from wnocpower.chain import (ChainConfig, _admissible_interval, _terms, chain_breakdown,
+                             dominance_report, recommend_frequency, sweep)
 from wnocpower.exampledata import fit_bundle
-from wnocpower.regression import ExpFitModel, fit_exponential, model_from_dict, model_to_dict
+from wnocpower.regression import (ExpFitModel, _evaluate, fit_exponential, model_from_dict,
+                                  model_to_dict)
 from wnocpower.survey import BinnedMax, parse_survey_csv
 from wnocpower.units import FrequencyGhz, PowerDbm
 
 HEADER = "block,frequency_ghz,metric,label,technology_node,notes"
 SURVEY_TOKENS = st.sampled_from(list('\ufeff\r\n\x00",#.-+e ab0123456789')
                                 + ["PA", "OSC", "MIXER", "inf", "nan", "1e400", "PA,60,22.5,a"])
-_PA = fit_bundle()[0]
+_PA, _OSC, _MIX = fit_bundle()
 MODEL_DOC = model_to_dict(_PA.kind, _PA.pae_fit, "0" * 64)
 
 json_values = st.recursive(
@@ -115,3 +120,37 @@ def test_chain_keeps_the_contract(chain, grid, ends, allow):
         sweep(pa, osc, mix, cfg, [FrequencyGhz(f) for f in sorted(grid)])))
     keeps_the_contract(recommend_frequency, pa, osc, mix, cfg, FrequencyGhz(ends[0]),
                        FrequencyGhz(ends[1]), 2, allow)
+
+
+def slope_probes(pa, osc, mix, cfg, lo, hi, allow):
+    """The frequencies ``recommend_frequency`` passes to the slope of the total, each checked
+    to lie in the admissible interval with every figure of merit that has a rate physical."""
+    probes, slope = [], chain_module._slope
+    with mock.patch.object(chain_module, "_slope",
+                           lambda terms, f: probes.append(f) or slope(terms, f)):
+        keeps_the_contract(recommend_frequency, pa, osc, mix, cfg, FrequencyGhz(lo),
+                           FrequencyGhz(hi), 2, allow)
+    if probes:
+        terms = _terms(pa, osc, mix, cfg)
+        f_lo, f_hi = _admissible_interval(terms, lo, hi, allow)
+        for f in probes:
+            assert f_lo <= f <= f_hi, (f, f_lo, f_hi)
+            for term in terms:
+                fom = _evaluate(term.fit, f)[0]
+                assert not term.b or (math.isfinite(fom) and 0 < fom <= term.fom_hi), (term, f)
+    return probes
+
+
+# The bundle PA and oscillator with a rising-FoM mixer: an interior minimum at ~74.3 GHz.
+_INTERIOR = (_PA, _OSC, MixerModel(replace(_MIX.fom_fit, a=0.02, b=0.05)),
+             ChainConfig(FrequencyGhz(60.0), PowerDbm(-5.0), PowerDbm(-5.0), PowerDbm(0.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(chain=chains(), ends=st.lists(frequencies, min_size=2, max_size=2), allow=st.booleans())
+def test_recommend_probes_the_slope_only_where_it_is_physical(chain, ends, allow):
+    slope_probes(*chain, *ends, allow)
+
+
+def test_recommend_probes_the_interior_case_only_where_it_is_physical():
+    assert len(slope_probes(*_INTERIOR, 20.0, 140.0, False)) > 2

@@ -60,11 +60,18 @@ def test_parse_rejects_unknown_kind():
 
 @pytest.mark.parametrize(
     "kind,metric",
-    [("PA", "150"), ("PA", "0"), ("OSC", "1.5"), ("OSC", "0"), ("MIXER", "0"), ("MIXER", "-2")],
+    [("PA", "150"), ("PA", "0"), ("PA", "-0"), ("OSC", "1.5"), ("OSC", "0"), ("OSC", "-0"),
+     ("MIXER", "0"), ("MIXER", "-0"), ("MIXER", "-2")],
 )
 def test_parse_rejects_out_of_range_metric(kind, metric):
     with pytest.raises(SurveyFormatError, match="row 2"):
         parse_survey_csv(HEADER + f"{kind},60.0,{metric},a\n")
+
+
+@pytest.mark.parametrize("kind", ["PA", "OSC", "MIXER"])
+def test_parse_accepts_the_smallest_positive_metric(kind):
+    ds = parse_survey_csv(HEADER + f"{kind},60.0,4.9406564584124654e-324,a\n")
+    assert ds.records[0].metric == 5e-324
 
 
 def test_parse_rejects_non_numeric_metric():
