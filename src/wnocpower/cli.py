@@ -114,7 +114,7 @@ def _write_result(path: Path, write, args: argparse.Namespace, inputs: Sequence[
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",") if tok.strip() != ""]
+        return [float(tok) for tok in text.split(",")] if text.strip() else []
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated number list: {text!r}")
 

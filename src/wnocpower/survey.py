@@ -48,11 +48,10 @@ class BlockKind(enum.Enum):
 
     @classmethod
     def from_token(cls, token: str) -> "BlockKind":
-        t = token.strip().upper()
-        for kind in cls:
-            if kind.value == t:
-                return kind
-        raise ValueError(f"unknown block kind {token!r} (expected PA, OSC or MIXER)")
+        try:
+            return cls(token.strip().upper())
+        except ValueError:
+            raise ValueError(f"unknown block kind {token!r} (expected PA, OSC or MIXER)") from None
 
 
 # Figure of merit per block, physical in (0, high] and finite: (high, unit, the factor that
@@ -219,9 +218,9 @@ _OPTIONAL_COLUMNS = ("technology_node", "notes")
 def parse_survey_csv(source: Union[str, bytes, IO[str], IO[bytes]]) -> SurveyDataset:
     """Parse a survey CSV into a validated dataset.
 
-    ``source`` may be text, UTF-8 bytes, or an open file in either mode,
-    with or without a byte-order mark and with LF, CRLF or CR line ends.
-    Malformed rows raise :class:`SurveyFormatError` naming the file row.
+    ``source`` may be text, UTF-8 bytes, or an open file in either mode, with or
+    without a byte-order mark and with LF, CRLF or CR line ends. Rows are read once,
+    header first; a malformed one raises :class:`SurveyFormatError` naming its file row.
     """
     if hasattr(source, "read"):
         source = source.read()  # type: ignore[union-attr]
@@ -232,31 +231,27 @@ def parse_survey_csv(source: Union[str, bytes, IO[str], IO[bytes]]) -> SurveyDat
             raise SurveyFormatError(f"survey CSV is not valid UTF-8: {exc}") from None
 
     reader = csv.reader(io.StringIO(source.removeprefix("\ufeff"), newline=""), strict=True)
-    header: list[str] | None = None
+    rows = _records(reader)
+    line, header = next(rows, (0, []))
+    if not header:
+        raise SurveyFormatError("survey CSV has no header row")
+    header = [c.strip().lower() for c in header]
+    if tuple(header[: len(_REQUIRED_COLUMNS)]) != _REQUIRED_COLUMNS:
+        raise SurveyFormatError(
+            f"row {line}: header must start with "
+            f"{','.join(_REQUIRED_COLUMNS)} (got {','.join(header)})"
+        )
+    extras = header[len(_REQUIRED_COLUMNS):]
+    if [c for c in extras if c not in _OPTIONAL_COLUMNS] or len(set(extras)) != len(extras):
+        raise SurveyFormatError(
+            f"row {line}: columns after label must be a subset of "
+            f"{','.join(_OPTIONAL_COLUMNS)} (got {','.join(extras) or 'none'})"
+        )
+    col = {name: i for i, name in enumerate(header)}
     records: list[SurveyRecord] = []
     kind: BlockKind | None = None
-    col: dict[str, int] = {}
 
-    for row in _records(reader):
-        line = reader.line_num
-        if not row or (row[0].lstrip().startswith("#")) or all(not c.strip() for c in row):
-            continue
-        if header is None:
-            header = [c.strip().lower() for c in row]
-            if tuple(header[: len(_REQUIRED_COLUMNS)]) != _REQUIRED_COLUMNS:
-                raise SurveyFormatError(
-                    f"row {line}: header must start with "
-                    f"{','.join(_REQUIRED_COLUMNS)} (got {','.join(header)})"
-                )
-            extras = header[len(_REQUIRED_COLUMNS):]
-            if [c for c in extras if c not in _OPTIONAL_COLUMNS] or len(set(extras)) != len(extras):
-                raise SurveyFormatError(
-                    f"row {line}: columns after label must be a subset of "
-                    f"{','.join(_OPTIONAL_COLUMNS)} (got {','.join(extras) or 'none'})"
-                )
-            col = {name: i for i, name in enumerate(header)}
-            continue
-
+    for line, row in rows:
         if len(row) != len(header):
             raise SurveyFormatError(
                 f"row {line}: expected {len(header)} fields, got {len(row)}"
@@ -284,8 +279,6 @@ def parse_survey_csv(source: Union[str, bytes, IO[str], IO[bytes]]) -> SurveyDat
             )
         records.append(record)
 
-    if header is None:
-        raise SurveyFormatError("survey CSV has no header row")
     if kind is None:
         raise SurveyFormatError("survey CSV has a header but no data rows")
     try:
@@ -294,12 +287,13 @@ def parse_survey_csv(source: Union[str, bytes, IO[str], IO[bytes]]) -> SurveyDat
         raise SurveyFormatError(str(exc)) from None
 
 
-def _records(reader) -> Iterator[list[str]]:
-    """The reader's records; malformed CSV is a SurveyFormatError naming its first row."""
+def _records(reader) -> Iterator[tuple[int, list[str]]]:
+    """(line, row) of each record not blank or a comment; malformed CSV names its first row."""
     start = 1
     try:
         for row in reader:
-            yield row
+            if any(c.strip() for c in row) and not row[0].lstrip().startswith("#"):
+                yield reader.line_num, row
             start = reader.line_num + 1
     except csv.Error as exc:
         raise SurveyFormatError(f"row {start}: malformed CSV ({exc})") from None

@@ -548,6 +548,19 @@ def test_sweep_with_empty_freqs_is_a_usage_error(models, tmp_path, capsys):
     assert not (tmp_path / "s.csv").exists()
 
 
+@pytest.mark.parametrize("flag, text", [("--freqs", "30,,60"), ("--freqs", "30,60,"),
+                                        ("--freqs", "30, ,60"), ("--levels", "-15,,-5")])
+def test_a_comma_list_with_an_empty_field_is_a_usage_error(models, tmp_path, capsys, flag,
+                                                           text):
+    other = ["--p-mixer-out", "-5"] if flag == "--freqs" else ["--freqs", "30,60"]
+    code = main(["sweep", *model_flags(models), f"{flag}={text}", *other,
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        f"wnocpower sweep: argument {flag}: not a comma-separated number list: {text!r}\n")
+    assert list(tmp_path.glob("s.csv*")) == []
+
+
 @pytest.mark.parametrize("levels", [["--p-mixer-out", "0", "--levels=-10"], ["--levels="]],
                          ids=["both-level-flags", "empty-levels"])
 def test_sweep_needs_exactly_one_nonempty_level_source(models, tmp_path, capsys, levels):

@@ -1,9 +1,12 @@
+import re
 import shutil
+from pathlib import Path
 
 import pytest
 
 from wnocpower.blocks import osc_dc_power
 from wnocpower.exampledata import (
+    EXAMPLES_DIR,
     EXPECTED_SPANS_GHZ,
     ExampleBundle,
     default_bundle,
@@ -19,6 +22,15 @@ def test_shipped_bundle_passes_all_checks():
     report = validate_bundle()
     assert report.ok, [f"{c.name}: {c.detail}" for c in report.failures]
     assert len(report.checks) >= 15
+
+
+def test_readme_library_example_fits_the_bundle_pa(bundle_models, monkeypatch):
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    (code,) = re.findall(r"^```python\n(.*?)^```$", readme, re.M | re.S)
+    monkeypatch.chdir(EXAMPLES_DIR)
+    namespace: dict = {}
+    exec(code, namespace)
+    assert namespace["pa"] == bundle_models[0]
 
 
 def test_bundle_fit_spans_match_documentation(bundle_models):

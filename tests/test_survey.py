@@ -58,6 +58,19 @@ def test_parse_rejects_unknown_kind():
         parse_survey_csv(HEADER + "LNA,60.0,22.5,a\n")
 
 
+@pytest.mark.parametrize("token, kind", [("pa", BlockKind.PA), (" Osc\t", BlockKind.OSCILLATOR),
+                                         ("MIXER", BlockKind.MIXER), ("mixer ", BlockKind.MIXER)])
+def test_from_token_accepts_any_case_and_surrounding_space(token, kind):
+    assert BlockKind.from_token(token) is kind
+
+
+@pytest.mark.parametrize("token", ["", "OSCILLATOR", "P A", "PA,", "lna"])
+def test_from_token_names_the_rejected_token(token):
+    with pytest.raises(ValueError) as info:
+        BlockKind.from_token(token)
+    assert str(info.value) == f"unknown block kind {token!r} (expected PA, OSC or MIXER)"
+
+
 @pytest.mark.parametrize(
     "kind,metric",
     [("PA", "150"), ("PA", "0"), ("PA", "-0"), ("OSC", "1.5"), ("OSC", "0"), ("OSC", "-0"),
@@ -254,6 +267,33 @@ def test_pareto_subset_and_idempotent(ds):
     front = best_in_class(ds, ParetoUpper())
     assert set(front.records) <= set(ds.records)
     assert best_in_class(front, ParetoUpper()) == front
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_datasets(), st.data())
+def test_parse_numbers_rows_by_their_physical_line_past_comments_and_blanks(ds, data):
+    junk = st.sampled_from(["# provenance, with commas", "  # indented", "\t#", "",
+                            "  ", " \t ", ",,,", " , ,"])
+    lines = serialize_survey_csv(ds).splitlines()
+    for _ in range(data.draw(st.integers(min_value=0, max_value=12))):
+        lines.insert(data.draw(st.integers(min_value=0, max_value=len(lines))), data.draw(junk))
+    end = data.draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    bom = data.draw(st.sampled_from(["", "\ufeff"]))
+    as_bytes = data.draw(st.booleans())
+
+    def parse(lines):
+        text = bom + end.join(lines) + end
+        return parse_survey_csv(text.encode("utf-8") if as_bytes else text)
+
+    assert parse(lines) == ds
+    rows = [i for i, line in enumerate(lines) if line.startswith("PA,")]
+    i = data.draw(st.sampled_from(rows))
+    fields = lines[i].split(",")
+    fields[2] = "x"
+    lines[i] = ",".join(fields)
+    with pytest.raises(SurveyFormatError) as info:
+        parse(lines)
+    assert str(info.value) == f"row {i + 1}: metric is not a number (got 'x')"
 
 
 def test_pareto_metric_strictly_decreasing_over_distinct_frequencies():

@@ -101,7 +101,9 @@ def host_facts() -> dict:
         pass
     return {"platform": platform.platform(), "python": platform.python_version(),
             "cpu_model": model, "cpu_count": os.cpu_count(),
-            "load_avg_at_end": list(os.getloadavg()) if hasattr(os, "getloadavg") else None}
+            "load_avg_at_end": list(os.getloadavg()) if hasattr(os, "getloadavg") else None,
+            # benchmarks/run.py passes these on to every run, PYTHONDONTWRITEBYTECODE among them
+            "python_env": {k: v for k, v in sorted(os.environ.items()) if k.startswith("PYTHON")}}
 
 
 def seed_list(text: str) -> list[int]:
