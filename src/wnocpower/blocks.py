@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import exp, inf, log, nextafter
 from typing import ClassVar, Sequence
 
-from .regression import ExpFitModel, _evaluate
+from .regression import ExpFitModel, _fom
 from .survey import _METRIC_RANGE, BlockKind, _check_metric
 from .units import FrequencyGhz, PowerDbm, PowerMilliwatt, _dbm_mw
 
@@ -72,15 +72,15 @@ def _term(kind: BlockKind, fit: ExpFitModel, num: float) -> _Term:
 def _block_dc(term: _Term, f: FrequencyGhz) -> tuple[PowerMilliwatt, bool]:
     """The term's DC power at f and whether f is outside the fitted span. Raises at an unphysical
     FoM, one past the float range included, and at an inf power (a subnormal PAE's 1 % is 0)."""
-    _a, _b, num, scale, fom_hi, kind, fit = term
-    fom, extrapolated = _evaluate(fit, f.value)
+    a, b, num, scale, fom_hi, kind, fit = term
+    fom = _fom(a, b, ghz := f.value)
     if not 0.0 < fom < inf or fom > fom_hi:
-        _check_metric(kind, fom, f.value)
+        _check_metric(kind, fom, ghz)
     denominator = scale * fom
     if not denominator or (mw := num / denominator) == inf:
-        raise ValueError(f"{kind.token} draw at {f.value} GHz: "
+        raise ValueError(f"{kind.token} draw at {ghz} GHz: "
                          "power in mW must be finite (got inf)")
-    return PowerMilliwatt(mw), extrapolated
+    return PowerMilliwatt(mw), ghz < fit.valid_lo.value or ghz > fit.valid_hi.value
 
 
 def _dcs(term: _Term, freqs: Sequence[float]) -> tuple[list, list]:
@@ -125,7 +125,7 @@ def _admissible(term: _Term, lo: float, hi: float, allow_extrapolation: bool) ->
     a, b, _num, _scale, fom_hi, _kind, fit = term  # b == 0 passes both ends or neither
 
     def ok(f: float) -> bool:  # the range check of _block_dc
-        fom = _evaluate(fit, f)[0]
+        fom = _fom(a, b, f)
         return 0.0 < fom < inf and fom <= fom_hi
 
     if not allow_extrapolation:

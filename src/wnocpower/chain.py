@@ -65,6 +65,7 @@ _ORDER = (BlockKind.PA, BlockKind.OSCILLATOR, BlockKind.MIXER)
 _FLAG_TOKENS = {flags: ";".join(kind.token for kind, on in zip(_ORDER, flags) if on)
                 for flags in product((False, True), repeat=3)}
 _TOKEN_FLAGS = {token: flags for flags, token in _FLAG_TOKENS.items()}
+_NO_PA = (PowerMilliwatt(0.0), False)  # the draw and flag of an absent PA stage
 
 
 @dataclass(frozen=True, slots=True)
@@ -234,9 +235,8 @@ def chain_breakdown(
     _terms(pa, osc, mix, cfg)
     mixer, mixer_ex = mixer_dc_power(mix, cfg.frequency, cfg.p_if_in, cfg.p_mixer_out)
     osc_part, osc_ex = osc_dc_power(osc, cfg.frequency, cfg.p_osc_rf)
-    pa_part, pa_ex = PowerMilliwatt(0.0), False
-    if cfg.p_pa_out is not None:
-        pa_part, pa_ex = pa_dc_power(pa, cfg.frequency, cfg.p_mixer_out, cfg.p_pa_out)
+    pa_part, pa_ex = (_NO_PA if cfg.p_pa_out is None
+                      else pa_dc_power(pa, cfg.frequency, cfg.p_mixer_out, cfg.p_pa_out))
     row = _row(cfg.frequency.value, pa_part.value, osc_part.value, mixer.value,
                (pa_ex, osc_ex, mixer_ex))
     return PowerBreakdown(_finite(row), _levels(cfg))

@@ -17,7 +17,6 @@ error, 3 extrapolation under --strict or no admissible frequency.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import re
 import sys
@@ -92,6 +91,7 @@ def _write_result(path: Path, write, args: argparse.Namespace, inputs: Sequence[
     removes the old manifest, so a result may lack one but no manifest
     describes another file.
     """
+    import hashlib  # here, not at the top: it loads OpenSSL, ~2–3 ms of a cold start
     manifest = {
         "command": args.command,
         "parameters": {k: (str(v) if isinstance(v, Path) else v)

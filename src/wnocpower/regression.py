@@ -176,13 +176,16 @@ def evaluate_fit(model: ExpFitModel, f: FrequencyGhz) -> tuple[float, bool]:
 
 
 def _evaluate(model: ExpFitModel, f: float) -> tuple[float, bool]:
-    """:func:`evaluate_fit` at a plain frequency in GHz; a value past the float range is inf."""
+    """:func:`evaluate_fit` at a plain frequency in GHz."""
+    return _fom(model.a, model.b, f), f < model.valid_lo.value or f > model.valid_hi.value
+
+
+def _fom(a: float, b: float, f: float) -> float:
+    """The trend a * exp(b * f) at a plain frequency in GHz; a value past the float range is inf."""
     try:
-        value = model.a * math.exp(model.b * f)
+        return a * math.exp(b * f)
     except OverflowError:
-        value = math.inf
-    extrapolated = f < model.valid_lo.value or f > model.valid_hi.value
-    return value, extrapolated
+        return math.inf
 
 
 def fit_survey(path, kind: BlockKind,

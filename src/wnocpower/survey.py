@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import csv
 import enum
-import hashlib
 import io
 import math
 from dataclasses import dataclass
@@ -40,6 +39,8 @@ class BlockKind(enum.Enum):
     PA = "PA"
     OSCILLATOR = "OSC"
     MIXER = "MIXER"
+
+    __hash__ = object.__hash__  # members are singletons; Enum.__hash__ costs a Python frame
 
     @property
     def token(self) -> str:
@@ -339,4 +340,5 @@ def serialize_survey_csv(data: SurveyDataset) -> str:
 
 def dataset_digest(data: SurveyDataset) -> str:
     """SHA-256 of the canonical CSV form; ties fitted models to their data."""
+    import hashlib  # here, not at the top: it loads OpenSSL, ~2–3 ms of a cold start
     return hashlib.sha256(serialize_survey_csv(data).encode("utf-8")).hexdigest()

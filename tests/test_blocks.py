@@ -22,7 +22,7 @@ from wnocpower.blocks import (
     pa_dc_power,
 )
 from wnocpower.regression import ExpFitModel, evaluate_fit
-from wnocpower.regression import _evaluate as evaluate_plain
+from wnocpower.regression import _fom as fom_plain
 from wnocpower.survey import BlockKind
 from wnocpower.units import FrequencyGhz, PowerDbm, PowerMilliwatt, dbm_to_mw, mw_to_dbm
 
@@ -307,11 +307,11 @@ def probed(term, lo, hi, allow_extrapolation):
     """``_admissible``'s answer and every frequency it evaluated the term's fit at, in order."""
     seen = []
 
-    def evaluate(model, f):
+    def fom(a, b, f):
         seen.append(f)
-        return evaluate_plain(model, f)
+        return fom_plain(a, b, f)
 
-    with mock.patch("wnocpower.blocks._evaluate", evaluate):
+    with mock.patch("wnocpower.blocks._fom", fom):
         return _admissible(term, lo, hi, allow_extrapolation), seen
 
 
@@ -360,5 +360,7 @@ def test_column_and_slope_loops_agree_with_the_point_evaluator(kind, a, b, span,
         assert power == math.inf
         return
     assert (power, flag) == (mw.value, extrapolated)
+    fom, public_flag = evaluate_fit(term.fit, FrequencyGhz(f))  # the two evaluators agree
+    assert extrapolated == public_flag and mw.value == num / (term.scale * fom)
     part = b * power
     assert _slope([(term.a, term.b, term.num, term.scale)], f) == (part, -b * part)

@@ -64,6 +64,19 @@ def test_from_token_accepts_any_case_and_surrounding_space(token, kind):
     assert BlockKind.from_token(token) is kind
 
 
+def test_block_kinds_stay_singleton_keys():
+    import copy
+    import pickle
+
+    table = {kind: kind.token for kind in BlockKind}
+    assert set(BlockKind) == {BlockKind.PA, BlockKind.OSCILLATOR, BlockKind.MIXER}
+    for kind in BlockKind:
+        for same in (BlockKind(kind.value), pickle.loads(pickle.dumps(kind)), copy.deepcopy(kind),
+                     copy.copy(kind), BlockKind.from_token(kind.token)):
+            assert same is kind and hash(same) == hash(kind)
+            assert table[same] == kind.token and same in set(BlockKind)
+
+
 @pytest.mark.parametrize("token", ["", "OSCILLATOR", "P A", "PA,", "lna"])
 def test_from_token_names_the_rejected_token(token):
     with pytest.raises(ValueError) as info:

@@ -3,7 +3,7 @@
 Usage (from the repository root)::
 
     python3 tools/bench_pairs.py --pairs 10 --seeds 101-110 --seconds 30 \
-        --workload recommend-scan --out BENCH_6.json
+        --workload recommend-scan --out BENCH_6.json [--trace 1]
 
 Each side is a fresh checkout of its files in a temporary directory
 (under ``--workdir`` if given), removed at the end:
@@ -13,12 +13,14 @@ the working tree (tracked and untracked files that are not ignored). No
 git worktree is registered, so the repository is left as it was.
 
 Pair i runs ``benchmarks/run.py --workload W --seed S_i --seconds T
---trace 0`` once from each checkout, one run at a time, the parent first
+--trace X`` once from each checkout, one run at a time, the parent first
 on even pairs and the change first on odd ones, so that slow drift of a
 shared host does not favour one side. The output JSON holds, per workload
-and end-to-end metric of ``BENCHMARK.json``, each side's values, median
-and quartiles, and how many pairs the change won (ties count for neither
-side), plus the seeds, the failed counts and the host facts.
+and metric of ``BENCHMARK.json`` (the end-to-end ones with ``--trace 0``,
+the default, the per-layer ones with ``--trace 1``), each side's values,
+median and quartiles, and how many pairs the change won (ties count for
+neither side), plus the seeds, the failed counts and the host facts.
+Per-layer metrics have no bound, so theirs is written as null.
 """
 
 from __future__ import annotations
@@ -56,10 +58,10 @@ def checkout(ref: str | None, dest: Path) -> str:
     return "working tree on " + _git("rev-parse", "HEAD").decode().strip()
 
 
-def run_once(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "benchmarks/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
+         "--seconds", str(seconds), "--trace", str(trace)],
         cwd=tree, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"{tree.name} {workload} seed {seed}: exit {proc.returncode}: "
@@ -81,10 +83,11 @@ def summarise(runs: dict, metrics: list[dict]) -> dict:
         change = [r["metrics"][name]["value"] for r in runs["change"]]
         p, c = quartiles(parent), quartiles(change)
         out[name] = {
-            "unit": spec["unit"], "better": spec["better"], "bound": spec["bound"],
+            "unit": spec["unit"], "better": spec["better"], "bound": spec.get("bound"),
             "parent": p, "change": c,
             "change_wins": sum(sign * (b - a) > 0 for a, b in zip(parent, change)),
-            "median_change_pct": 100.0 * (c["median"] - p["median"]) / p["median"],
+            "median_change_pct": (100.0 * (c["median"] - p["median"]) / p["median"]
+                                  if p["median"] else None),
             "median_gap_over_parent_iqr": (abs(c["median"] - p["median"]) / (p["q3"] - p["q1"])
                                            if p["q3"] > p["q1"] else None),
         }
@@ -124,6 +127,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seeds", type=seed_list, required=True,
                         help="comma-separated seeds or LO-HI, one per pair")
     parser.add_argument("--seconds", type=float, default=30.0)
+    parser.add_argument("--trace", type=int, choices=(0, 1), default=0,
+                        help="1: run traced and summarise the per-layer metrics")
     parser.add_argument("--out", type=Path, required=True)
     parser.add_argument("--workdir", type=Path, default=None,
                         help="where the two checkouts go, made if missing (default: the "
@@ -148,18 +153,19 @@ def main(argv: list[str] | None = None) -> int:
             runs = {"parent": [], "change": []}
             for i, seed in enumerate(args.seeds):
                 for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-                    runs[side].append(run_once(trees[side], workload, seed, args.seconds))
+                    runs[side].append(run_once(trees[side], workload, seed, args.seconds,
+                                               args.trace))
                     print(f"{workload} pair {i + 1}/{args.pairs} seed {seed} {side}: "
                           f"failed {runs[side][-1]['failed']}", file=sys.stderr)
             results[workload] = {
                 "failed": {side: [r["failed"] for r in runs[side]] for side in runs},
                 "correct": {side: all(r["correct"] for r in runs[side]) for side in runs},
-                "metrics": summarise(runs, spec["end_to_end"]),
+                "metrics": summarise(runs, spec["per_layer" if args.trace else "end_to_end"]),
             }
     finally:
         shutil.rmtree(scratch, ignore_errors=True)
     doc = {"parent": labels["parent"], "change": labels["change"], "pairs": args.pairs,
-           "seeds": args.seeds, "seconds": args.seconds, "trace": 0,
+           "seeds": args.seeds, "seconds": args.seconds, "trace": args.trace,
            "order": "parent first on even pairs (0-based), change first on odd ones",
            "wall_s": round(time.time() - started, 1), "host": host_facts(),
            "workloads": results}
