@@ -14,6 +14,7 @@ import wnocpower.chain as chain_module
 from wnocpower.blocks import MixerModel, OscModel, PaModel
 from wnocpower.chain import (
     _FLAG_TOKENS,
+    _TOKEN_FLAGS,
     ChainConfig,
     NoAdmissiblePointError,
     SWEEP_CSV_COLUMNS,
@@ -28,7 +29,7 @@ from wnocpower.chain import (
 )
 from wnocpower.regression import ExpFitModel
 from wnocpower.survey import BlockKind
-from wnocpower.units import FrequencyGhz, PowerDbm
+from wnocpower.units import FrequencyGhz, PowerDbm, PowerMilliwatt
 
 
 def fit(a, b=0.0, lo=1.0, hi=1000.0):
@@ -676,6 +677,37 @@ def test_csv_matches_the_stdlib_csv_writer():
     text = breakdowns_to_csv(rows)
     assert text == stdlib_csv(rows)
     assert breakdowns_to_csv([]) == stdlib_csv([]) == ",".join(SWEEP_CSV_COLUMNS) + "\n"
+    for bd in rows:
+        assert_views_match_row(bd)
+
+
+_CELL_VIEWS = (("pa_mw", 1, PowerMilliwatt), ("osc_mw", 2, PowerMilliwatt),
+               ("mixer_mw", 3, PowerMilliwatt), ("total_mw", 4, PowerMilliwatt),
+               ("pa_fraction", 5, float), ("osc_fraction", 6, float),
+               ("mixer_fraction", 7, float))
+_FLAG_VIEWS = ("pa_extrapolated", "osc_extrapolated", "mixer_extrapolated")
+
+
+def assert_views_match_row(bd):
+    """Each named cell view of ``bd`` is its row cell, with its type, and is read-only."""
+    row, flags = bd.row, _TOKEN_FLAGS[bd.row[8]]
+    for name, index, wrap in _CELL_VIEWS:
+        value = getattr(bd, name)
+        assert type(value) is wrap, name
+        assert value == wrap(row[index]), name
+    for name, flag in zip(_FLAG_VIEWS, flags):
+        assert getattr(bd, name) is flag, name
+    kinds = (BlockKind.PA, BlockKind.OSCILLATOR, BlockKind.MIXER)
+    assert bd.per_block == tuple(
+        (kind, getattr(bd, f"{p}_mw"), getattr(bd, f"{p}_fraction"), getattr(bd, f"{p}_extrapolated"))
+        for kind, p in zip(kinds, ("pa", "osc", "mixer")))
+    assert bd.extrapolated_blocks == tuple(kind for kind, flag in zip(kinds, flags) if flag)
+    assert bd.any_extrapolated is any(flags)
+    # refused: by an AttributeError, or by a TypeError where the slots class rebuild
+    # leaves the frozen __setattr__'s super() call pointing at the old class
+    for name in [name for name, *_ in _CELL_VIEWS] + list(_FLAG_VIEWS):
+        with pytest.raises((AttributeError, TypeError)):
+            setattr(bd, name, getattr(bd, name))
 
 
 @pytest.mark.parametrize("lo, hi", [(1.0, math.inf), (math.nan, 100.0), (-math.inf, 5.0),

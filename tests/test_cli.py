@@ -317,9 +317,14 @@ def test_validate_examples_passes(capsys):
     assert "[FAIL]" not in out
 
 
+def test_validate_examples_writes_its_golden_bytes(capsys):
+    assert main(["validate-examples"]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == (GOLDEN / "validate-examples.stdout").read_bytes()
+
+
 def test_validate_examples_missing_dir(tmp_path, capsys):
     assert main(["validate-examples", "--data-dir", str(tmp_path)]) == EXIT_DATA
-    capsys.readouterr()
+    assert capsys.readouterr().err == "4 of 4 checks failed\n"
 
 
 @pytest.mark.parametrize("levels", [
@@ -365,8 +370,10 @@ def test_readme_commands_write_the_golden_bundle_bytes(tmp_path, capsys, monkeyp
     assert main(["recommend", *models, "--range", "20:140", "--p-mixer-out", "-5",
                  "--p-pa-out", "0"]) == EXIT_OK
     (tmp_path / "recommend.stdout").write_bytes(capsys.readouterr().out.encode())
+    assert main(["validate-examples"]) == EXIT_OK
+    (tmp_path / "validate-examples.stdout").write_bytes(capsys.readouterr().out.encode())
     golden = sorted(GOLDEN.iterdir())
-    assert len(golden) == 8
+    assert len(golden) == 9
     for path in golden:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
 

@@ -65,6 +65,19 @@ def test_scenario_config_shape():
     assert scenario_config(60.0, None).p_pa_out is None
 
 
+FILES_AND_FIT = [
+    ("file present: pa_survey.csv", True, ""),
+    ("file present: oscillator_survey.csv", True, ""),
+    ("file present: mixer_survey.csv", True, ""),
+    ("file present: README.txt", True, ""),
+    ("surveys parse and fit", True, ""),
+]
+
+
+def triples(report):
+    return [(c.name, c.passed, c.detail) for c in report.checks]
+
+
 def _copy_bundle(tmp_path):
     src = default_bundle()
     for p in (src.pa_csv, src.oscillator_csv, src.mixer_csv, src.readme):
@@ -83,6 +96,12 @@ def test_validate_names_missing_file(tmp_path):
     report = validate_bundle(bundle)
     assert not report.ok
     assert any("mixer_survey.csv" in c.name for c in report.failures)
+    assert triples(report) == [
+        ("file present: pa_survey.csv", True, ""),
+        ("file present: oscillator_survey.csv", True, ""),
+        ("file present: mixer_survey.csv", False, ""),
+        ("file present: README.txt", True, ""),
+    ]
 
 
 def test_validate_names_span_violation(tmp_path):
@@ -93,6 +112,22 @@ def test_validate_names_span_violation(tmp_path):
     report = validate_bundle(bundle)
     assert not report.ok
     assert any("PA validity span" in c.name for c in report.failures)
+    assert triples(report) == [
+        *FILES_AND_FIT,
+        ("PA validity span is [0.9, 309.3] GHz", False, "got [12.0, 309.3] GHz"),
+        ("PA trend degrades with frequency (b < 0)", True, "b = -0.0125759 1/GHz"),
+        ("OSC validity span is [12.7, 310.0] GHz", True, "got [12.7, 310.0] GHz"),
+        ("OSC trend degrades with frequency (b < 0)", True, "b = -0.00708083 1/GHz"),
+        ("MIXER validity span is [0.9, 140.0] GHz", True, "got [0.9, 140.0] GHz"),
+        ("MIXER trend degrades with frequency (b < 0)", True, "b = -0.013221 1/GHz"),
+        ("oscillator draws < 10 mW at 150 GHz for 0 dBm RF out", True, "6.641 mW"),
+        ("low-power scenario: oscillator share > 55% at 30 GHz", True, "61.6 %"),
+        ("low-power scenario: oscillator share > 55% at 60 GHz", True, "57.6 %"),
+        ("high-power scenario: PA share > 65% at 30 GHz", True, "67.3 %"),
+        ("high-power scenario: PA share > 65% at 60 GHz", True, "70.5 %"),
+        ("high-power scenario: PA share > 65% at 140 GHz", True, "77.8 %"),
+        ("high-power scenario: PA share > 65% at 243 GHz", True, "84.5 %"),
+    ]
 
 
 def test_validate_names_broken_parse(tmp_path):
@@ -101,3 +136,7 @@ def test_validate_names_broken_parse(tmp_path):
     report = validate_bundle(bundle)
     assert not report.ok
     assert any("parse and fit" in c.name for c in report.failures)
+    assert triples(report) == [
+        *FILES_AND_FIT[:4],
+        ("surveys parse and fit", False, "row 2: frequency in GHz must be finite and > 0 (got -1.0)"),
+    ]
