@@ -20,7 +20,7 @@ commands name the same fault for the same inputs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import pairwise, product, repeat
+from itertools import compress, pairwise, product, repeat
 from math import inf, isfinite, nan, nextafter
 from typing import Iterable, Iterator, Sequence
 
@@ -68,6 +68,11 @@ _TOKEN_FLAGS = {token: flags for flags, token in _FLAG_TOKENS.items()}
 _NO_PA = (PowerMilliwatt(0.0), False)  # the draw and flag of an absent PA stage
 
 
+def _view(index: int | slice, make=lambda cell: cell) -> property:
+    """A read-only view of ``row[index]``, a cell or a slice, built by ``make`` on access."""
+    return property(lambda self: make(self.row[index]))
+
+
 @dataclass(frozen=True, slots=True)
 class PowerBreakdown:
     """Per-block DC power of one chain evaluation, with shares and flags.
@@ -81,45 +86,13 @@ class PowerBreakdown:
     row: tuple
     levels: tuple
 
-    @property
-    def pa_mw(self) -> PowerMilliwatt:
-        return PowerMilliwatt(self.row[1])
-
-    @property
-    def osc_mw(self) -> PowerMilliwatt:
-        return PowerMilliwatt(self.row[2])
-
-    @property
-    def mixer_mw(self) -> PowerMilliwatt:
-        return PowerMilliwatt(self.row[3])
-
-    @property
-    def total_mw(self) -> PowerMilliwatt:
-        return PowerMilliwatt(self.row[4])
-
-    @property
-    def pa_fraction(self) -> float:
-        return self.row[5]
-
-    @property
-    def osc_fraction(self) -> float:
-        return self.row[6]
-
-    @property
-    def mixer_fraction(self) -> float:
-        return self.row[7]
-
-    @property
-    def pa_extrapolated(self) -> bool:
-        return _TOKEN_FLAGS[self.row[8]][0]
-
-    @property
-    def osc_extrapolated(self) -> bool:
-        return _TOKEN_FLAGS[self.row[8]][1]
-
-    @property
-    def mixer_extrapolated(self) -> bool:
-        return _TOKEN_FLAGS[self.row[8]][2]
+    pa_mw, osc_mw, mixer_mw, total_mw = (_view(i, PowerMilliwatt) for i in range(1, 5))
+    pa_fraction, osc_fraction, mixer_fraction = (_view(i) for i in range(5, 8))
+    pa_extrapolated, osc_extrapolated, mixer_extrapolated = (
+        _view(8, lambda cell, i=i: _TOKEN_FLAGS[cell][i]) for i in range(3))
+    fractions = _view(slice(5, 8))
+    extrapolated_blocks = _view(8, lambda cell: tuple(compress(_ORDER, _TOKEN_FLAGS[cell])))
+    any_extrapolated = _view(8, bool)
 
     @property
     def config(self) -> ChainConfig:
@@ -128,21 +101,8 @@ class PowerBreakdown:
     @property
     def per_block(self) -> tuple[tuple[BlockKind, PowerMilliwatt, float, bool], ...]:
         """(kind, DC power, share, extrapolated) of each block: PA, oscillator, mixer."""
-        row, flags = self.row, _TOKEN_FLAGS[self.row[8]]
-        return tuple((kind, PowerMilliwatt(row[1 + i]), row[5 + i], flags[i])
-                     for i, kind in enumerate(_ORDER))
-
-    @property
-    def fractions(self) -> tuple[float, float, float]:
-        return self.row[5:8]
-
-    @property
-    def extrapolated_blocks(self) -> tuple[BlockKind, ...]:
-        return tuple(kind for kind, flagged in zip(_ORDER, _TOKEN_FLAGS[self.row[8]]) if flagged)
-
-    @property
-    def any_extrapolated(self) -> bool:
-        return self.row[8] != ""
+        row = self.row
+        return tuple(zip(_ORDER, map(PowerMilliwatt, row[1:4]), row[5:8], _TOKEN_FLAGS[row[8]]))
 
 
 @dataclass(frozen=True)

@@ -326,7 +326,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate_examples(args: argparse.Namespace) -> int:
-    bundle = default_bundle() if args.data_dir is None else bundle_at(Path(args.data_dir))
+    bundle = default_bundle() if args.data_dir is None else bundle_at(args.data_dir)
     report = validate_bundle(bundle)
     for check in report.checks:
         status = "ok " if check.passed else "FAIL"

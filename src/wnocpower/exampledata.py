@@ -1,15 +1,18 @@
 """Shipped example surveys and their calibration checks.
 
 The package bundles one illustrative survey per block kind plus a README
-stating what fitting them must yield. ``validate_bundle`` re-derives
-every documented expectation from the files, so a modified or corrupted
-bundle fails loudly instead of silently shifting downstream numbers.
+stating what fitting them must yield. ``validate_bundle`` checks the files,
+fit spans, trend signs, oscillator draw and scenario shares; the tests pin
+the frontier counts, ``a``, ``b`` and the oscillator's draw below 200 GHz.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
+from functools import cache, partial
 from pathlib import Path
+from typing import Iterator
 
 from .blocks import MixerModel, OscModel, PaModel, osc_dc_power
 from .chain import ChainConfig, chain_breakdown
@@ -79,16 +82,12 @@ def scenario_config(frequency_ghz: float, pa_out_dbm: float | None) -> ChainConf
     )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    name: str
-    passed: bool
-    detail: str = ""
+CheckResult = namedtuple("CheckResult", "name passed detail", defaults=("",))
 
 
 @dataclass(frozen=True)
 class BundleReport:
-    checks: tuple[CheckResult, ...] = field(default_factory=tuple)
+    checks: tuple[CheckResult, ...] = ()
 
     @property
     def ok(self) -> bool:
@@ -99,62 +98,58 @@ class BundleReport:
         return tuple(c for c in self.checks if not c.passed)
 
 
+# The README's scenarios: (name, PA output in dBm, frequencies in GHz, dominant share, threshold).
+_SCENARIOS = (("low-power scenario: oscillator", LOW_POWER_PA_OUT_DBM, (30.0, 60.0), "osc_fraction",
+               OSC_DOMINANCE_THRESHOLD),
+              ("high-power scenario: PA", HIGH_POWER_PA_OUT_DBM, KEY_FREQUENCIES_GHZ, "pa_fraction",
+               PA_DOMINANCE_THRESHOLD))
+
+
 def validate_bundle(bundle: ExampleBundle | None = None) -> BundleReport:
-    """Re-derive every README expectation from the bundle files.
+    """Check the bundle files against the README's expectations, one named check each.
 
-    Each expectation becomes one named check in the report; nothing stops
-    at the first failure, so a broken bundle reports everything wrong
-    with it at once.
+    A missing file ends the report after the file checks, and a survey that
+    does not parse or fit ends it after that check. Past them nothing stops
+    at the first failure: a check that raises ``ValueError`` fails with the
+    message as its detail, so a broken bundle reports everything wrong with
+    it at once.
     """
-    bundle = bundle or default_bundle()
     checks: list[CheckResult] = []
+    for name, evaluate in _checks(bundle or default_bundle(), checks):
+        try:
+            passed, detail = evaluate()
+        except ValueError as exc:
+            passed, detail = False, str(exc)
+        checks.append(CheckResult(name, passed, detail))
+    return BundleReport(tuple(checks))
 
+
+def _checks(bundle: ExampleBundle, done: list[CheckResult]) -> Iterator[tuple]:
+    """(name, evaluate) of each check in report order; ``evaluate()`` gives (passed, detail).
+
+    The caller evaluates each, and appends its result to ``done``, before it
+    asks for the next, so a closure reads the loop variables as yielded."""
     for path in (bundle.pa_csv, bundle.oscillator_csv, bundle.mixer_csv, bundle.readme):
-        checks.append(CheckResult(f"file present: {path.name}", path.is_file()))
-    if not all(c.passed for c in checks):
-        return BundleReport(tuple(checks))
-
-    try:
-        pa, osc, mix = fit_bundle(bundle)
-    except ValueError as exc:
-        checks.append(CheckResult("surveys parse and fit", False, str(exc)))
-        return BundleReport(tuple(checks))
-    checks.append(CheckResult("surveys parse and fit", True))
-
+        yield f"file present: {path.name}", lambda: (path.is_file(), "")
+    if not all(c.passed for c in done):
+        return
+    models = cache(partial(fit_bundle, bundle))  # fitted by the parse check, reused after it
+    yield "surveys parse and fit", lambda: (bool(models()), "")
+    if not done[-1].passed:
+        return
+    pa, osc, mix = models()
     for kind, fit in ((pa.kind, pa.pae_fit), (osc.kind, osc.eff_fit), (mix.kind, mix.fom_fit)):
         lo, hi = EXPECTED_SPANS_GHZ[kind]
         span = (fit.valid_lo.value, fit.valid_hi.value)
-        checks.append(CheckResult(
-            f"{kind.token} validity span is [{lo}, {hi}] GHz",
-            span == (lo, hi),
-            f"got [{span[0]}, {span[1]}] GHz",
-        ))
-        checks.append(CheckResult(
-            f"{kind.token} trend degrades with frequency (b < 0)",
-            fit.b < 0.0,
-            f"b = {fit.b:.6g} 1/GHz",
-        ))
-
-    p_dc, _ = osc_dc_power(osc, FrequencyGhz(150.0), PowerDbm(0.0))
-    checks.append(CheckResult(
-        "oscillator draws < 10 mW at 150 GHz for 0 dBm RF out",
-        p_dc.value < 10.0,
-        f"{p_dc.value:.3f} mW",
-    ))
-
-    for f in (30.0, 60.0):
-        bd = chain_breakdown(pa, osc, mix, scenario_config(f, LOW_POWER_PA_OUT_DBM))
-        checks.append(CheckResult(
-            f"low-power scenario: oscillator share > 55% at {f:g} GHz",
-            bd.osc_fraction > OSC_DOMINANCE_THRESHOLD,
-            f"{100.0 * bd.osc_fraction:.1f} %",
-        ))
-    for f in KEY_FREQUENCIES_GHZ:
-        bd = chain_breakdown(pa, osc, mix, scenario_config(f, HIGH_POWER_PA_OUT_DBM))
-        checks.append(CheckResult(
-            f"high-power scenario: PA share > 65% at {f:g} GHz",
-            bd.pa_fraction > PA_DOMINANCE_THRESHOLD,
-            f"{100.0 * bd.pa_fraction:.1f} %",
-        ))
-
-    return BundleReport(tuple(checks))
+        yield (f"{kind.token} validity span is [{lo}, {hi}] GHz",
+               lambda: (span == (lo, hi), f"got [{span[0]}, {span[1]}] GHz"))
+        yield (f"{kind.token} trend degrades with frequency (b < 0)",
+               lambda: (fit.b < 0.0, f"b = {fit.b:.6g} 1/GHz"))
+    yield ("oscillator draws < 10 mW at 150 GHz for 0 dBm RF out",
+           lambda: ((mw := osc_dc_power(osc, FrequencyGhz(150.0), PowerDbm(0.0))[0].value) < 10.0,
+                    f"{mw:.3f} mW"))
+    for label, pa_out, frequencies, dominant, threshold in _SCENARIOS:
+        for f in frequencies:
+            bd = partial(chain_breakdown, pa, osc, mix, scenario_config(f, pa_out))
+            yield (f"{label} share > {threshold:.0%} at {f:g} GHz",
+                   lambda: ((frac := getattr(bd(), dominant)) > threshold, f"{100.0 * frac:.1f} %"))

@@ -697,10 +697,10 @@ def assert_views_match_row(bd):
         assert value == wrap(row[index]), name
     for name, flag in zip(_FLAG_VIEWS, flags):
         assert getattr(bd, name) is flag, name
+    assert bd.per_block == ((BlockKind.PA, bd.pa_mw, bd.pa_fraction, bd.pa_extrapolated),
+                            (BlockKind.OSCILLATOR, bd.osc_mw, bd.osc_fraction, bd.osc_extrapolated),
+                            (BlockKind.MIXER, bd.mixer_mw, bd.mixer_fraction, bd.mixer_extrapolated))
     kinds = (BlockKind.PA, BlockKind.OSCILLATOR, BlockKind.MIXER)
-    assert bd.per_block == tuple(
-        (kind, getattr(bd, f"{p}_mw"), getattr(bd, f"{p}_fraction"), getattr(bd, f"{p}_extrapolated"))
-        for kind, p in zip(kinds, ("pa", "osc", "mixer")))
     assert bd.extrapolated_blocks == tuple(kind for kind, flag in zip(kinds, flags) if flag)
     assert bd.any_extrapolated is any(flags)
     # refused: by an AttributeError, or by a TypeError where the slots class rebuild

@@ -5,9 +5,11 @@ from pathlib import Path
 import pytest
 
 from wnocpower.blocks import osc_dc_power
+from wnocpower.cli import EXIT_DATA, main
 from wnocpower.exampledata import (
     EXAMPLES_DIR,
     EXPECTED_SPANS_GHZ,
+    CheckResult,
     ExampleBundle,
     default_bundle,
     fit_bundle,
@@ -138,5 +140,38 @@ def test_validate_names_broken_parse(tmp_path):
     assert any("parse and fit" in c.name for c in report.failures)
     assert triples(report) == [
         *FILES_AND_FIT[:4],
-        ("surveys parse and fit", False, "row 2: frequency in GHz must be finite and > 0 (got -1.0)"),
+        ("surveys parse and fit", False,
+         "row 2: frequency in GHz must be finite and > 0 (got -1.0)"),
     ]
+
+
+def test_validate_reports_a_check_that_raises_and_runs_the_rest(tmp_path, capsys):
+    # This oscillator survey fits, but its efficiency exceeds 1 below ~100 GHz.
+    bundle = _copy_bundle(tmp_path)
+    bundle.oscillator_csv.write_text("block,frequency_ghz,metric,label\nOSC,12.7,1.0,a\n"
+                                     "OSC,100,0.999,b\nOSC,150,0.998,c\nOSC,160,0.997,d\n"
+                                     "OSC,310,0.02,e\n")
+    report = validate_bundle(bundle)
+    assert len(report.checks) == 18
+    at_30 = "OSC fit at 30.0 GHz = 2.230603102214205 (ratio) is outside (0, 1]"
+    at_60 = "OSC fit at 60.0 GHz = 1.4829473577510066 (ratio) is outside (0, 1]"
+    assert list(report.failures) == [
+        ("low-power scenario: oscillator share > 55% at 30 GHz", False, at_30),
+        ("low-power scenario: oscillator share > 55% at 60 GHz", False, at_60),
+        ("high-power scenario: PA share > 65% at 30 GHz", False, at_30),
+        ("high-power scenario: PA share > 65% at 60 GHz", False, at_60),
+    ]
+    assert report.checks[-1] == ("high-power scenario: PA share > 65% at 243 GHz", True, "88.3 %")
+    assert main(["validate-examples", "--data-dir", str(tmp_path)]) == EXIT_DATA
+    out, err = capsys.readouterr()
+    assert len(out.splitlines()) == 18
+    assert f"[FAIL] low-power scenario: oscillator share > 55% at 30 GHz ({at_30})\n" in out
+    assert err == "4 of 18 checks failed\n"
+
+
+def test_check_result_is_an_immutable_record():
+    check = CheckResult("surveys parse and fit", True)
+    assert (check.name, check.passed, check.detail) == ("surveys parse and fit", True, "")
+    assert repr(check) == "CheckResult(name='surveys parse and fit', passed=True, detail='')"
+    with pytest.raises(AttributeError):
+        check.passed = False
