@@ -23,37 +23,33 @@ only. The column loop (dense-sweep benchmark) and the per-probe loop
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from math import exp, inf, log, nextafter
-from typing import ClassVar, Sequence
+from typing import Sequence
 
 from .regression import ExpFitModel, _fom
 from .survey import _METRIC_RANGE, BlockKind, _check_metric
-from .units import FrequencyGhz, PowerDbm, PowerMilliwatt, _dbm_mw
+from .units import FrequencyGhz, PowerDbm, PowerMilliwatt, _dbm_mw, _record
 
 
-@dataclass(frozen=True)
-class PaModel:
-    """Power amplifier: power added efficiency in percent versus frequency."""
+class PaModel(_record("PaModel", "pae_fit")):
+    """Power amplifier: ``pae_fit``, the power added efficiency in percent versus frequency."""
 
-    pae_fit: ExpFitModel
-    kind: ClassVar[BlockKind] = BlockKind.PA
-
-
-@dataclass(frozen=True)
-class OscModel:
-    """Fundamental oscillator: DC-to-RF efficiency ratio versus frequency."""
-
-    eff_fit: ExpFitModel
-    kind: ClassVar[BlockKind] = BlockKind.OSCILLATOR
+    __slots__ = ()
+    kind = BlockKind.PA
 
 
-@dataclass(frozen=True)
-class MixerModel:
-    """Passive mixer: linear conversion gain per mW of DC power (1/mW)."""
+class OscModel(_record("OscModel", "eff_fit")):
+    """Fundamental oscillator: ``eff_fit``, the DC-to-RF efficiency ratio versus frequency."""
 
-    fom_fit: ExpFitModel
-    kind: ClassVar[BlockKind] = BlockKind.MIXER
+    __slots__ = ()
+    kind = BlockKind.OSCILLATOR
+
+
+class MixerModel(_record("MixerModel", "fom_fit")):
+    """Passive mixer: ``fom_fit``, the linear conversion gain per mW of DC power (1/mW)."""
+
+    __slots__ = ()
+    kind = BlockKind.MIXER
 
 
 # One block at fixed levels: P_DC(f) = num / (scale * FoM(f)) mW, with FoM(f) = a * exp(b * f)

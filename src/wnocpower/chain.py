@@ -27,7 +27,7 @@ from typing import Iterable, Iterator, Sequence
 from .blocks import (MixerModel, OscModel, PaModel, _admissible, _dcs, _mixer_numerator,
                      _pa_numerator, _slope, _term, mixer_dc_power, osc_dc_power, pa_dc_power)
 from .survey import BlockKind
-from .units import FrequencyGhz, PowerDbm, PowerMilliwatt, _dbm_mw
+from .units import FrequencyGhz, PowerDbm, PowerMilliwatt, _dbm_mw, _record
 
 
 class NoAdmissiblePointError(ValueError):
@@ -73,8 +73,7 @@ def _view(index: int | slice, make=lambda cell: cell) -> property:
     return property(lambda self: make(self.row[index]))
 
 
-@dataclass(frozen=True, slots=True)
-class PowerBreakdown:
+class PowerBreakdown(_record("PowerBreakdown", "row levels")):
     """Per-block DC power of one chain evaluation, with shares and flags.
 
     ``row`` is the plot-CSV row (frequency in GHz, PA/oscillator/mixer/total
@@ -83,9 +82,7 @@ class PowerBreakdown:
     p_osc_rf. The unit-typed views below are built on access.
     """
 
-    row: tuple
-    levels: tuple
-
+    __slots__ = ()
     pa_mw, osc_mw, mixer_mw, total_mw = (_view(i, PowerMilliwatt) for i in range(1, 5))
     pa_fraction, osc_fraction, mixer_fraction = (_view(i) for i in range(5, 8))
     pa_extrapolated, osc_extrapolated, mixer_extrapolated = (

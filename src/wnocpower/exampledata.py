@@ -9,7 +9,6 @@ the frontier counts, ``a``, ``b`` and the oscillator's draw below 200 GHz.
 from __future__ import annotations
 
 from collections import namedtuple
-from dataclasses import dataclass
 from functools import cache, partial
 from pathlib import Path
 from typing import Iterator
@@ -18,7 +17,7 @@ from .blocks import MixerModel, OscModel, PaModel, osc_dc_power
 from .chain import ChainConfig, chain_breakdown
 from .regression import fit_survey
 from .survey import BlockKind, ParetoUpper
-from .units import FrequencyGhz, PowerDbm
+from .units import FrequencyGhz, PowerDbm, _record
 
 EXAMPLES_DIR = Path(__file__).parent / "data" / "examples"
 
@@ -38,14 +37,10 @@ OSC_DOMINANCE_THRESHOLD = 0.55
 PA_DOMINANCE_THRESHOLD = 0.65
 
 
-@dataclass(frozen=True)
-class ExampleBundle:
+class ExampleBundle(_record("ExampleBundle", "pa_csv oscillator_csv mixer_csv readme")):
     """Paths of the three survey CSVs and their README."""
 
-    pa_csv: Path
-    oscillator_csv: Path
-    mixer_csv: Path
-    readme: Path
+    __slots__ = ()
 
 
 def default_bundle() -> ExampleBundle:
@@ -85,9 +80,8 @@ def scenario_config(frequency_ghz: float, pa_out_dbm: float | None) -> ChainConf
 CheckResult = namedtuple("CheckResult", "name passed detail", defaults=("",))
 
 
-@dataclass(frozen=True)
-class BundleReport:
-    checks: tuple[CheckResult, ...] = ()
+class BundleReport(_record("BundleReport", "checks", defaults=((),))):
+    __slots__ = ()
 
     @property
     def ok(self) -> bool:

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .fileio import write_text_atomic
 from .survey import BlockKind, FrontierStrategy, SurveyDataset, best_in_class, load_survey_csv
-from .units import FrequencyGhz
+from .units import FrequencyGhz, _record
 
 
 class ZeroVarianceError(ValueError):
@@ -66,16 +66,15 @@ class ExpFitModel:
                 raise ValueError(f"R-squared must be finite and <= 1 (got {r2})")
 
 
-@dataclass(frozen=True)
-class FitDiagnostics:
+class FitDiagnostics(_record("FitDiagnostics", "residuals_log predicted")):
     """Per-point fit residuals (log domain) and predictions (linear domain)."""
 
-    residuals_log: tuple[float, ...]
-    predicted: tuple[float, ...]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if len(self.residuals_log) != len(self.predicted):
+    def __new__(cls, residuals_log: tuple[float, ...], predicted: tuple[float, ...]):
+        if len(residuals_log) != len(predicted):
             raise ValueError("diagnostics arrays must have equal length")
+        return tuple.__new__(cls, (residuals_log, predicted))
 
 
 def r_squared(observed: Sequence[float], predicted: Sequence[float]) -> float:

@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass
 from typing import IO, Iterator, Union
 
-from .units import FrequencyGhz
+from .units import FrequencyGhz, _record
 
 
 class SurveyFormatError(ValueError):
@@ -72,21 +72,17 @@ def _check_metric(kind: BlockKind, metric: float, fit_ghz: float | None = None) 
         raise ValueError(f"{kind.token} {what} = {metric} {unit} {problem}")
 
 
-@dataclass(frozen=True)
-class SurveyRecord:
+class SurveyRecord(_record("SurveyRecord", "block frequency metric label technology_node notes")):
     """One measured prototype point from a published survey."""
 
-    block: BlockKind
-    frequency: FrequencyGhz
-    metric: float
-    label: str
-    technology_node: str | None = None
-    notes: str | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_metric(self.block, self.metric)
-        if not self.label:
+    def __new__(cls, block: BlockKind, frequency: FrequencyGhz, metric: float, label: str,
+                technology_node: str | None = None, notes: str | None = None):
+        _check_metric(block, metric)
+        if not label:
             raise ValueError("record label must be non-empty")
+        return tuple.__new__(cls, (block, frequency, metric, label, technology_node, notes))
 
 
 @dataclass(frozen=True)
@@ -123,8 +119,7 @@ class SurveyDataset:
 # --- frontier strategies -------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ParetoUpper:
+class ParetoUpper(_record("ParetoUpper", "")):
     """Keep records not dominated in the (frequency, metric) plane.
 
     A record is dominated when some other record has frequency >= its
@@ -133,22 +128,24 @@ class ParetoUpper:
     input order.
     """
 
+    __slots__ = ()
+
     @property
     def tag(self) -> str:
         return "pareto-upper"
 
 
-@dataclass(frozen=True)
-class BinnedMax:
+class BinnedMax(_record("BinnedMax", "bins")):
     """Keep the maximum-metric record of each of ``bins`` log-spaced
     frequency bins spanning [f_min, f_max] of the dataset."""
 
-    bins: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, bins: int):
         # Up to 2**53 a bin count is exact as a float and the bin index cannot overflow.
-        if type(self.bins) is not int or not 1 <= self.bins <= 2**53:
-            raise ValueError(f"bin count must be an int in [1, 2**53] (got {self.bins!r})")
+        if type(bins) is not int or not 1 <= bins <= 2**53:
+            raise ValueError(f"bin count must be an int in [1, 2**53] (got {bins!r})")
+        return tuple.__new__(cls, (bins,))
 
     @property
     def tag(self) -> str:
@@ -261,14 +258,9 @@ def parse_survey_csv(source: Union[str, bytes, IO[str], IO[bytes]]) -> SurveyDat
             block = BlockKind.from_token(row[col["block"]])
             frequency = FrequencyGhz(_parse_number(row[col["frequency_ghz"]], "frequency_ghz"))
             metric = _parse_number(row[col["metric"]], "metric")
-            record = SurveyRecord(
-                block=block,
-                frequency=frequency,
-                metric=metric,
-                label=row[col["label"]].strip(),
-                technology_node=_optional(row, col.get("technology_node")),
-                notes=_optional(row, col.get("notes")),
-            )
+            record = SurveyRecord(block, frequency, metric, row[col["label"]].strip(),
+                                  _optional(row, col.get("technology_node")),
+                                  _optional(row, col.get("notes")))
         except ValueError as exc:
             raise SurveyFormatError(f"row {line}: {exc}") from None
         if kind is None:

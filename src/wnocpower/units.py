@@ -4,13 +4,34 @@ Power is carried either in dBm (log domain, boundary/API values) or in
 milliwatts (linear domain, all internal arithmetic). Frequency is always
 gigahertz. The three wrappers are deliberately distinct types with no
 cross-type arithmetic, so a dBm value can never be added to a milliwatt
-value by accident; conversions are explicit.
+value by accident; conversions are explicit. The library's other value
+types are immutable records built on ``_record``.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
+
+
+def _record(name: str, fields: str, defaults: tuple = ()) -> type:
+    """The base of an immutable value record: a namedtuple of ``fields`` that hashes as, and
+    equals, the plain tuple of its fields, but never equals a record of another class.
+    ``_make`` and ``_replace`` go through ``__new__``, so the checks of a subclass's own
+    ``__new__`` hold for every instance. A frozen dataclass compiles each method it generates
+    at import; this compiles only the namedtuple's ``__new__``."""
+    def same_class(compare):  # the tuples' comparison, between records of one class only
+        return lambda self, other: (compare(self, other) if type(other) is type(self)
+                                    else NotImplemented)
+
+    class Record(namedtuple(name, fields, defaults=defaults)):
+        __slots__ = ()
+        __hash__ = tuple.__hash__
+        __eq__, __ne__ = same_class(tuple.__eq__), same_class(tuple.__ne__)
+        _make = classmethod(lambda cls, iterable: cls(*iterable))
+
+    return Record
 
 
 @dataclass(frozen=True, order=True)

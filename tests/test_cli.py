@@ -409,6 +409,32 @@ def test_cli_import_does_not_load_numpy():
     assert not added & {"hashlib", "_hashlib"}  # OpenSSL loads only when a digest is taken
 
 
+def test_cli_import_builds_only_the_pinned_dataclasses():
+    """A frozen dataclass compiles its generated methods at import. Only the classes that
+    tests need as dataclasses (``replace``, ordering, ``__len__``/``__iter__``) are one."""
+    import json
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import wnocpower
+
+    src = str(Path(wnocpower.__file__).resolve().parent.parent)
+    code = ("import json, sys; import wnocpower.cli; print(json.dumps(sorted("
+            "f'{name}.{value.__name__}' for name, module in list(sys.modules.items()) "
+            "if name.split('.')[0] == 'wnocpower' for value in vars(module).values() "
+            "if isinstance(value, type) and value.__module__ == name "
+            "and hasattr(value, '__dataclass_fields__'))))")
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert json.loads(proc.stdout) == sorted([
+        "wnocpower.chain.ChainConfig", "wnocpower.chain.SweepResult",
+        "wnocpower.regression.ExpFitModel", "wnocpower.survey.SurveyDataset",
+        "wnocpower.units.FrequencyGhz", "wnocpower.units.PowerDbm",
+        "wnocpower.units.PowerMilliwatt"])
+
+
 def test_failed_write_leaves_no_partial_file_and_no_stale_manifest(models, tmp_path, capsys,
                                                                     monkeypatch):
     import wnocpower.cli as cli
