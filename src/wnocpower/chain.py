@@ -163,13 +163,6 @@ def _row(f: float, pa_mw: float, osc_mw: float, mixer_mw: float, flags: tuple) -
             _FLAG_TOKENS[flags])
 
 
-def _finite(row: tuple) -> tuple:
-    """``row``, unless a power in it overflowed: every part is >= 0, so the total shows it."""
-    if row[4] == inf:
-        raise ValueError(f"total draw at {row[0]} GHz: power in mW must be finite (got inf)")
-    return row
-
-
 def _levels(cfg: ChainConfig) -> tuple:
     return cfg.p_mixer_out, cfg.p_if_in, cfg.p_pa_out, cfg.p_osc_rf
 
@@ -196,7 +189,9 @@ def chain_breakdown(
                       else pa_dc_power(pa, cfg.frequency, cfg.p_mixer_out, cfg.p_pa_out))
     row = _row(cfg.frequency.value, pa_part.value, osc_part.value, mixer.value,
                (pa_ex, osc_ex, mixer_ex))
-    return PowerBreakdown(_finite(row), _levels(cfg))
+    if row[4] == inf:  # every part is >= 0, so an overflowed power shows in the total
+        raise ValueError(f"total draw at {row[0]} GHz: power in mW must be finite (got inf)")
+    return PowerBreakdown(row, _levels(cfg))
 
 
 def sweep(

@@ -162,18 +162,17 @@ def _load_chain_models(args: argparse.Namespace):
     return pa, osc, mix
 
 
-def _chain_config(frequency: float, p_mixer_out: float, p_if: float,
-                  p_pa_out: float | None, p_osc_rf: float) -> ChainConfig:
-    # Equal PA output and input means zero gain: that is a chain without
-    # a PA, not a degenerate PA stage.
-    if p_pa_out is not None and p_pa_out == p_mixer_out:
-        p_pa_out = None
+def _chain_config(args: argparse.Namespace, frequency: float, p_mixer_out: float) -> ChainConfig:
+    """The chain at ``frequency`` and mixer output ``p_mixer_out`` with the other levels of
+    ``args``. Equal PA output and input means zero gain: that is a chain without a PA, not a
+    degenerate PA stage."""
+    p_pa_out = args.p_pa_out
     return ChainConfig(
         frequency=FrequencyGhz(frequency),
         p_mixer_out=PowerDbm(p_mixer_out),
-        p_if_in=PowerDbm(p_if),
-        p_pa_out=None if p_pa_out is None else PowerDbm(p_pa_out),
-        p_osc_rf=PowerDbm(p_osc_rf),
+        p_if_in=PowerDbm(args.p_if),
+        p_pa_out=None if p_pa_out is None or p_pa_out == p_mixer_out else PowerDbm(p_pa_out),
+        p_osc_rf=PowerDbm(args.p_osc_rf),
     )
 
 
@@ -234,7 +233,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
 
 def _cmd_breakdown(args: argparse.Namespace) -> int:
     pa, osc, mix = _load_chain_models(args)
-    cfg = _chain_config(args.freq, args.p_mixer_out, args.p_if, args.p_pa_out, args.p_osc_rf)
+    cfg = _chain_config(args, args.freq, args.p_mixer_out)
     bd = chain_breakdown(pa, osc, mix, cfg)
     _print_breakdown(bd)
     outputs = (
@@ -272,8 +271,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     # is read or a bad level is.
     _check_increasing(FrequencyGhz(f).value for f in grid())
     pa, osc, mix = _load_chain_models(args)
-    bases = [_chain_config(first, level, args.p_if, args.p_pa_out, args.p_osc_rf)
-             for level in levels]
+    bases = [_chain_config(args, first, level) for level in levels]
     extrapolated = False
 
     def chunks():
@@ -307,7 +305,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_recommend(args: argparse.Namespace) -> int:
     pa, osc, mix = _load_chain_models(args)
     lo, hi = args.range
-    base = _chain_config(lo, args.p_mixer_out, args.p_if, args.p_pa_out, args.p_osc_rf)
+    base = _chain_config(args, lo, args.p_mixer_out)
     f_best, bd = recommend_frequency(
         pa, osc, mix, base,
         FrequencyGhz(lo), FrequencyGhz(hi),

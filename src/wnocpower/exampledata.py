@@ -4,12 +4,15 @@ The package bundles one illustrative survey per block kind plus a README
 stating what fitting them must yield. ``validate_bundle`` checks the files,
 fit spans, trend signs, oscillator draw and scenario shares; the tests pin
 the frontier counts, ``a``, ``b`` and the oscillator's draw below 200 GHz.
+``_checks`` yields each check's result in report order. A missing file ends
+the report after the file checks, and a survey that does not parse or fit
+ends it after that check. Past them a draw or scenario check that raises
+``ValueError`` fails with the message as its detail, so nothing else stops.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import cache, partial
 from pathlib import Path
 from typing import Iterator
 
@@ -27,14 +30,6 @@ EXPECTED_SPANS_GHZ = {
     BlockKind.OSCILLATOR: (12.7, 310.0),
     BlockKind.MIXER: (0.9, 140.0),
 }
-KEY_FREQUENCIES_GHZ = (30.0, 60.0, 140.0, 243.0)
-SCENARIO_P_IF_DBM = -5.0
-SCENARIO_P_MIXER_OUT_DBM = -5.0
-SCENARIO_P_OSC_RF_DBM = 0.0
-LOW_POWER_PA_OUT_DBM = 0.0
-HIGH_POWER_PA_OUT_DBM = 5.0
-OSC_DOMINANCE_THRESHOLD = 0.55
-PA_DOMINANCE_THRESHOLD = 0.65
 
 
 class ExampleBundle(_record("ExampleBundle", "pa_csv oscillator_csv mixer_csv readme")):
@@ -61,19 +56,18 @@ def fit_bundle(bundle: ExampleBundle | None = None) -> tuple[PaModel, OscModel, 
     """Parse all three surveys of ``bundle`` (default: the packaged one) and fit each
     to its Pareto-upper frontier, as the bundle README documents."""
     bundle = bundle or default_bundle()
-    roles = ((PaModel, bundle.pa_csv), (OscModel, bundle.oscillator_csv),
-             (MixerModel, bundle.mixer_csv))
-    return tuple(model(fit_survey(path, model.kind, ParetoUpper())[1]) for model, path in roles)
+    return tuple(model(fit_survey(path, model.kind, ParetoUpper())[1])
+                 for model, path in zip((PaModel, OscModel, MixerModel), bundle[:3]))
 
 
 def scenario_config(frequency_ghz: float, pa_out_dbm: float | None) -> ChainConfig:
     """The README's scenario operating point at one frequency."""
     return ChainConfig(
         frequency=FrequencyGhz(frequency_ghz),
-        p_mixer_out=PowerDbm(SCENARIO_P_MIXER_OUT_DBM),
-        p_if_in=PowerDbm(SCENARIO_P_IF_DBM),
+        p_mixer_out=PowerDbm(-5.0),
+        p_if_in=PowerDbm(-5.0),
         p_pa_out=None if pa_out_dbm is None else PowerDbm(pa_out_dbm),
-        p_osc_rf=PowerDbm(SCENARIO_P_OSC_RF_DBM),
+        p_osc_rf=PowerDbm(0.0),
     )
 
 
@@ -93,57 +87,49 @@ class BundleReport(_record("BundleReport", "checks", defaults=((),))):
 
 
 # The README's scenarios: (name, PA output in dBm, frequencies in GHz, dominant share, threshold).
-_SCENARIOS = (("low-power scenario: oscillator", LOW_POWER_PA_OUT_DBM, (30.0, 60.0), "osc_fraction",
-               OSC_DOMINANCE_THRESHOLD),
-              ("high-power scenario: PA", HIGH_POWER_PA_OUT_DBM, KEY_FREQUENCIES_GHZ, "pa_fraction",
-               PA_DOMINANCE_THRESHOLD))
+_SCENARIOS = (("low-power scenario: oscillator", 0.0, (30.0, 60.0), "osc_fraction", 0.55),
+              ("high-power scenario: PA", 5.0, (30.0, 60.0, 140.0, 243.0), "pa_fraction", 0.65))
 
 
 def validate_bundle(bundle: ExampleBundle | None = None) -> BundleReport:
-    """Check the bundle files against the README's expectations, one named check each.
-
-    A missing file ends the report after the file checks, and a survey that
-    does not parse or fit ends it after that check. Past them nothing stops
-    at the first failure: a check that raises ``ValueError`` fails with the
-    message as its detail, so a broken bundle reports everything wrong with
-    it at once.
-    """
-    checks: list[CheckResult] = []
-    for name, evaluate in _checks(bundle or default_bundle(), checks):
-        try:
-            passed, detail = evaluate()
-        except ValueError as exc:
-            passed, detail = False, str(exc)
-        checks.append(CheckResult(name, passed, detail))
-    return BundleReport(tuple(checks))
+    """Check the bundle files against the README's expectations, one named check each."""
+    return BundleReport(tuple(_checks(bundle or default_bundle())))
 
 
-def _checks(bundle: ExampleBundle, done: list[CheckResult]) -> Iterator[tuple]:
-    """(name, evaluate) of each check in report order; ``evaluate()`` gives (passed, detail).
+def _check(name: str, evaluate) -> CheckResult:
+    """The check ``name`` from ``evaluate()``'s (passed, detail); a ValueError fails it."""
+    try:
+        return CheckResult(name, *evaluate())
+    except ValueError as exc:
+        return CheckResult(name, False, str(exc))
 
-    The caller evaluates each, and appends its result to ``done``, before it
-    asks for the next, so a closure reads the loop variables as yielded."""
-    for path in (bundle.pa_csv, bundle.oscillator_csv, bundle.mixer_csv, bundle.readme):
-        yield f"file present: {path.name}", lambda: (path.is_file(), "")
-    if not all(c.passed for c in done):
+
+def _checks(bundle: ExampleBundle) -> Iterator[CheckResult]:
+    files = [CheckResult(f"file present: {path.name}", path.is_file()) for path in bundle]
+    yield from files
+    if not all(c.passed for c in files):
         return
-    models = cache(partial(fit_bundle, bundle))  # fitted by the parse check, reused after it
-    yield "surveys parse and fit", lambda: (bool(models()), "")
-    if not done[-1].passed:
+    try:
+        models = fit_bundle(bundle)
+    except ValueError as exc:
+        yield CheckResult("surveys parse and fit", False, str(exc))
         return
-    pa, osc, mix = models()
-    for kind, fit in ((pa.kind, pa.pae_fit), (osc.kind, osc.eff_fit), (mix.kind, mix.fom_fit)):
-        lo, hi = EXPECTED_SPANS_GHZ[kind]
+    yield CheckResult("surveys parse and fit", True)
+    for model in models:
+        (fit,) = model
+        lo, hi = EXPECTED_SPANS_GHZ[model.kind]
         span = (fit.valid_lo.value, fit.valid_hi.value)
-        yield (f"{kind.token} validity span is [{lo}, {hi}] GHz",
-               lambda: (span == (lo, hi), f"got [{span[0]}, {span[1]}] GHz"))
-        yield (f"{kind.token} trend degrades with frequency (b < 0)",
-               lambda: (fit.b < 0.0, f"b = {fit.b:.6g} 1/GHz"))
-    yield ("oscillator draws < 10 mW at 150 GHz for 0 dBm RF out",
-           lambda: ((mw := osc_dc_power(osc, FrequencyGhz(150.0), PowerDbm(0.0))[0].value) < 10.0,
-                    f"{mw:.3f} mW"))
+        yield CheckResult(f"{model.kind.token} validity span is [{lo}, {hi}] GHz",
+                          span == (lo, hi), f"got [{span[0]}, {span[1]}] GHz")
+        yield CheckResult(f"{model.kind.token} trend degrades with frequency (b < 0)",
+                          fit.b < 0.0, f"b = {fit.b:.6g} 1/GHz")
+    pa, osc, mix = models
+    yield _check("oscillator draws < 10 mW at 150 GHz for 0 dBm RF out", lambda: (
+        (mw := osc_dc_power(osc, FrequencyGhz(150.0), PowerDbm(0.0))[0].value) < 10.0,
+        f"{mw:.3f} mW"))
     for label, pa_out, frequencies, dominant, threshold in _SCENARIOS:
         for f in frequencies:
-            bd = partial(chain_breakdown, pa, osc, mix, scenario_config(f, pa_out))
-            yield (f"{label} share > {threshold:.0%} at {f:g} GHz",
-                   lambda: ((frac := getattr(bd(), dominant)) > threshold, f"{100.0 * frac:.1f} %"))
+            cfg = scenario_config(f, pa_out)
+            yield _check(f"{label} share > {threshold:.0%} at {f:g} GHz", lambda: (
+                (frac := getattr(chain_breakdown(pa, osc, mix, cfg), dominant)) > threshold,
+                f"{100.0 * frac:.1f} %"))

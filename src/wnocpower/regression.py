@@ -171,12 +171,8 @@ def evaluate_fit(model: ExpFitModel, f: FrequencyGhz) -> tuple[float, bool]:
     when f lies outside the closed validity range; the value is still
     computed, so out-of-range use is possible but never silent.
     """
-    return _evaluate(model, f.value)
-
-
-def _evaluate(model: ExpFitModel, f: float) -> tuple[float, bool]:
-    """:func:`evaluate_fit` at a plain frequency in GHz."""
-    return _fom(model.a, model.b, f), f < model.valid_lo.value or f > model.valid_hi.value
+    ghz = f.value
+    return _fom(model.a, model.b, ghz), ghz < model.valid_lo.value or ghz > model.valid_hi.value
 
 
 def _fom(a: float, b: float, f: float) -> float:

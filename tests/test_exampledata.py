@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import wnocpower.exampledata as exampledata
 from wnocpower.blocks import osc_dc_power
 from wnocpower.cli import EXIT_DATA, main
 from wnocpower.exampledata import (
@@ -104,6 +105,19 @@ def test_validate_names_missing_file(tmp_path):
         ("file present: mixer_survey.csv", False, ""),
         ("file present: README.txt", True, ""),
     ]
+
+
+def test_validate_fits_each_survey_once_per_report(tmp_path, monkeypatch):
+    calls = []
+    fit = exampledata.fit_survey
+    monkeypatch.setattr(exampledata, "fit_survey", lambda *a: calls.append(a[0]) or fit(*a))
+    assert validate_bundle().ok
+    assert calls == list(default_bundle())[:3]
+    calls.clear()
+    bundle = _copy_bundle(tmp_path)
+    bundle.readme.unlink()
+    assert not validate_bundle(bundle).ok
+    assert calls == []
 
 
 def test_validate_names_span_violation(tmp_path):

@@ -21,7 +21,7 @@ from wnocpower.blocks import MixerModel, OscModel, PaModel
 from wnocpower.chain import (ChainConfig, _admissible_interval, _terms, chain_breakdown,
                              dominance_report, recommend_frequency, sweep)
 from wnocpower.exampledata import fit_bundle
-from wnocpower.regression import (ExpFitModel, _evaluate, fit_exponential, model_from_dict,
+from wnocpower.regression import (ExpFitModel, _fom, fit_exponential, model_from_dict,
                                   model_to_dict)
 from wnocpower.survey import BinnedMax, parse_survey_csv
 from wnocpower.units import FrequencyGhz, PowerDbm
@@ -136,7 +136,7 @@ def slope_probes(pa, osc, mix, cfg, lo, hi, allow):
         for f in probes:
             assert f_lo <= f <= f_hi, (f, f_lo, f_hi)
             for term in terms:
-                fom = _evaluate(term.fit, f)[0]
+                fom = _fom(term.a, term.b, f)
                 assert not term.b or (math.isfinite(fom) and 0 < fom <= term.fom_hi), (term, f)
     return probes
 
