@@ -210,7 +210,15 @@ def sweep(
     """
     if len(frequencies) == 0:
         raise ValueError("sweep needs at least one frequency")
-    rows = _column_rows(_terms(pa, osc, mix, base_cfg), [f.value for f in frequencies])
+    # Each term is evaluated over the whole column first. A point where ``chain_breakdown``
+    # raises has an inf total: the same arithmetic, with ``blocks._dcs`` giving inf where
+    # ``blocks._block_dc`` raises.
+    freqs = [f.value for f in frequencies]
+    (mixer_mw, mixer_ex), (osc_mw, osc_ex), *pa_dcs = [
+        _dcs(term, freqs) for term in _terms(pa, osc, mix, base_cfg)]
+    pa_mw, pa_ex = pa_dcs[0] if pa_dcs else (repeat(0.0), repeat(False))
+    rows = [_row(f, p, o, m, flags) for f, p, o, m, flags
+            in zip(freqs, pa_mw, osc_mw, mixer_mw, zip(pa_ex, osc_ex, mixer_ex))]
     failed = next((f for f, row in zip(frequencies, rows) if row[4] == inf), None)
     if failed is not None:
         try:
@@ -218,17 +226,6 @@ def sweep(
         except ValueError as exc:
             raise ValueError(f"sweep failed at {failed.value} GHz: {exc}") from None
     return SweepResult(tuple(rows), _levels(base_cfg))
-
-
-def _column_rows(terms: tuple, freqs: list) -> list:
-    """The rows of ``freqs``, each term evaluated over the whole column first.
-
-    A point where ``chain_breakdown`` raises has an inf total: the same
-    arithmetic, with ``blocks._dcs`` giving inf where ``blocks._block_dc`` raises."""
-    (mixer_mw, mixer_ex), (osc_mw, osc_ex), *pa = [_dcs(term, freqs) for term in terms]
-    pa_mw, pa_ex = pa[0] if pa else (repeat(0.0), repeat(False))
-    return [_row(f, p, o, m, flags) for f, p, o, m, flags
-            in zip(freqs, pa_mw, osc_mw, mixer_mw, zip(pa_ex, osc_ex, mixer_ex))]
 
 
 def recommend_frequency(

@@ -213,47 +213,38 @@ def model_to_dict(block: BlockKind, model: ExpFitModel, source_digest: str) -> d
     }
 
 
-def _number(value) -> float:
-    """A JSON number as a float; true, false and strings are not numbers."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"expected a number, got {value!r}")
-    return float(value)
-
-
-def _count(value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
-
-def _text(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
+def _json(value, kind: type):
+    """``value`` as a JSON ``kind`` (float, int or str): any number is a float, a bool is
+    never a number, and nothing else is converted."""
+    if isinstance(value, bool) or not isinstance(value, (int, float) if kind is float else kind):
+        name = {float: "a number", int: "an integer", str: "a string"}[kind]
+        raise TypeError(f"expected {name}, got {value!r}")
+    return kind(value)
 
 
 def model_from_dict(doc: dict) -> tuple[BlockKind, ExpFitModel, str]:
     """Parse a model document; every field must have its JSON type, nothing is coerced."""
-    def field(name: str, convert):
+    def field(name: str, kind: type, convert=None):
         try:
-            return convert(doc[name])
+            value = _json(doc[name], kind)
+            return value if convert is None else convert(value)
         except KeyError:
             raise ValueError(f"model document is missing field {name!r}") from None
         except (TypeError, ValueError, OverflowError) as exc:
             raise ValueError(f"model document field {name!r} is invalid: {exc}") from None
 
-    block = field("block", lambda v: BlockKind.from_token(_text(v)))
+    block = field("block", str, BlockKind.from_token)
     model = ExpFitModel(
-        a=field("a", _number),
-        b=field("b", _number),
-        valid_lo=field("valid_lo_ghz", lambda v: FrequencyGhz(_number(v))),
-        valid_hi=field("valid_hi_ghz", lambda v: FrequencyGhz(_number(v))),
-        r_squared_linear=field("r2_linear", _number),
-        r_squared_log=field("r2_log", _number),
-        n_points=field("n_points", _count),
-        strategy=field("strategy", _text),
+        a=field("a", float),
+        b=field("b", float),
+        valid_lo=field("valid_lo_ghz", float, FrequencyGhz),
+        valid_hi=field("valid_hi_ghz", float, FrequencyGhz),
+        r_squared_linear=field("r2_linear", float),
+        r_squared_log=field("r2_log", float),
+        n_points=field("n_points", int),
+        strategy=field("strategy", str),
     )
-    return block, model, field("source_dataset_digest", _text)
+    return block, model, field("source_dataset_digest", str)
 
 
 def save_model(path, block: BlockKind, model: ExpFitModel, source_digest: str) -> None:

@@ -12,6 +12,9 @@ CSV schema (UTF-8, header required, ``#`` lines are comments)::
 
     block,frequency_ghz,metric,label[,technology_node][,notes]
 
+The four required columns come first, in that order; the optional ones may
+follow in either order, each at most once.
+
 Fitting does not use the raw cloud but its best-in-class subset; two
 selection strategies are provided, and the chosen one is recorded in the
 fitted model so a result can be reproduced from its inputs.
@@ -243,9 +246,10 @@ def parse_survey_csv(source: Union[str, bytes, IO[str], IO[bytes]]) -> SurveyDat
     if [c for c in extras if c not in _OPTIONAL_COLUMNS] or len(set(extras)) != len(extras):
         raise SurveyFormatError(
             f"row {line}: columns after label must be a subset of "
-            f"{','.join(_OPTIONAL_COLUMNS)} (got {','.join(extras) or 'none'})"
+            f"{','.join(_OPTIONAL_COLUMNS)} (got {','.join(c or repr(c) for c in extras)})"
         )
-    col = {name: i for i, name in enumerate(header)}
+    # The header check put the required columns at 0-3; the optional ones are found by name.
+    tech, notes = (header.index(c) if c in extras else None for c in _OPTIONAL_COLUMNS)
     records: list[SurveyRecord] = []
     kind: BlockKind | None = None
 
@@ -255,12 +259,12 @@ def parse_survey_csv(source: Union[str, bytes, IO[str], IO[bytes]]) -> SurveyDat
                 f"row {line}: expected {len(header)} fields, got {len(row)}"
             )
         try:
-            block = BlockKind.from_token(row[col["block"]])
-            frequency = FrequencyGhz(_parse_number(row[col["frequency_ghz"]], "frequency_ghz"))
-            metric = _parse_number(row[col["metric"]], "metric")
-            record = SurveyRecord(block, frequency, metric, row[col["label"]].strip(),
-                                  _optional(row, col.get("technology_node")),
-                                  _optional(row, col.get("notes")))
+            block = BlockKind.from_token(row[0])
+            frequency = FrequencyGhz(_parse_number(row[1], "frequency_ghz"))
+            metric = _parse_number(row[2], "metric")
+            record = SurveyRecord(block, frequency, metric, row[3].strip(),
+                                  None if tech is None else row[tech].strip() or None,
+                                  None if notes is None else row[notes].strip() or None)
         except ValueError as exc:
             raise SurveyFormatError(f"row {line}: {exc}") from None
         if kind is None:
@@ -297,13 +301,6 @@ def _parse_number(cell: str, name: str) -> float:
         return float(cell)
     except ValueError:
         raise ValueError(f"{name} is not a number (got {cell!r})") from None
-
-
-def _optional(row: list[str], index: int | None) -> str | None:
-    if index is None:
-        return None
-    value = row[index].strip()
-    return value or None
 
 
 def load_survey_csv(path) -> SurveyDataset:

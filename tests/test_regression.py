@@ -319,6 +319,23 @@ def test_model_from_dict_rejects_non_integral_point_count():
         model_from_dict(doc)
 
 
+@pytest.mark.parametrize("name, value, problem", [
+    ("a", True, "expected a number, got True"),
+    ("strategy", None, "expected a string, got None"),
+    ("block", 1, "expected a string, got 1"),
+    ("block", "XX", "unknown block kind 'XX' (expected PA, OSC or MIXER)"),
+    ("valid_lo_ghz", "1", "expected a number, got '1'"),
+    ("valid_lo_ghz", 0, "frequency in GHz must be finite and > 0 (got 0.0)"),
+    ("n_points", 2.9, "expected an integer, got 2.9"),
+])
+def test_model_from_dict_message_names_the_field_and_its_problem(name, value, problem):
+    doc = model_to_dict(BlockKind.PA, model_ab(3.0, -0.002), "d")
+    doc[name] = value
+    with pytest.raises(ValueError) as err:
+        model_from_dict(doc)
+    assert str(err.value) == f"model document field {name!r} is invalid: {problem}"
+
+
 @pytest.mark.parametrize("name", ["strategy", "source_dataset_digest"])
 def test_model_from_dict_rejects_non_string_text_field(name):
     doc = model_to_dict(BlockKind.PA, model_ab(3.0, -0.002), "d")

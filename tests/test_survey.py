@@ -141,16 +141,32 @@ def test_parse_accepts_scientific_notation_and_bytes():
     assert ds.records[0].metric == 0.25
 
 
-def test_parse_optional_columns():
-    text = "block,frequency_ghz,metric,label,technology_node,notes\nOSC,30,0.3,a,28nm CMOS,\n"
-    ds = parse_survey_csv(text)
-    assert ds.records[0].technology_node == "28nm CMOS"
-    assert ds.records[0].notes is None
+@pytest.mark.parametrize("extras, cells, node, notes", [
+    ("technology_node,notes", "28nm CMOS,", "28nm CMOS", None),
+    ("notes,technology_node", "on-chip balun,28nm CMOS", "28nm CMOS", "on-chip balun"),
+    ("technology_node", "28nm CMOS", "28nm CMOS", None),
+    ("notes", "on-chip balun", None, "on-chip balun"),
+], ids=["node-notes", "notes-node", "node", "notes"])
+def test_parse_optional_columns(extras, cells, node, notes):
+    # each optional cell lands in the field of its column's name; an absent column gives None
+    text = f"block,frequency_ghz,metric,label,{extras}\nOSC,30,0.3,a,{cells}\n"
+    record = parse_survey_csv(text).records[0]
+    assert (record.technology_node, record.notes) == (node, notes)
 
 
 def test_parse_rejects_unknown_extra_column():
     with pytest.raises(SurveyFormatError, match="columns after label"):
         parse_survey_csv("block,frequency_ghz,metric,label,vendor\nPA,1,10,a,x\n")
+
+
+@pytest.mark.parametrize("extras, got", [("", "''"), (",notes", "'',notes")],
+                         ids=["label,", "label,,notes"])
+def test_parse_header_error_spells_an_empty_column_name(extras, got):
+    # a spreadsheet export with a trailing comma has an extra column whose name is empty
+    with pytest.raises(SurveyFormatError) as err:
+        parse_survey_csv(f"block,frequency_ghz,metric,label,{extras}\nPA,1,10,a\n")
+    assert str(err.value) == ("row 1: columns after label must be a subset of "
+                              f"technology_node,notes (got {got})")
 
 
 def test_parse_names_the_row_of_a_field_past_the_csv_size_limit():
