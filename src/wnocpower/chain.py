@@ -19,7 +19,6 @@ commands name the same fault for the same inputs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress, pairwise, product, repeat
 from math import inf, isfinite, nan, nextafter
 from typing import Iterable, Iterator, Sequence
@@ -27,7 +26,7 @@ from typing import Iterable, Iterator, Sequence
 from .blocks import (MixerModel, OscModel, PaModel, _admissible, _dcs, _mixer_numerator,
                      _pa_numerator, _slope, _term, mixer_dc_power, osc_dc_power, pa_dc_power)
 from .survey import BlockKind
-from .units import FrequencyGhz, PowerDbm, PowerMilliwatt, _dbm_mw, _record
+from .units import FrequencyGhz, PowerDbm, PowerMilliwatt, _dbm_mw, _record, _Slotted
 
 
 class NoAdmissiblePointError(ValueError):
@@ -36,8 +35,8 @@ class NoAdmissiblePointError(ValueError):
     of merit physical."""
 
 
-@dataclass(frozen=True)
-class ChainConfig:
+class ChainConfig(_record("ChainConfig", "frequency p_mixer_out p_if_in p_pa_out p_osc_rf",
+                          (PowerDbm(-5.0), None, PowerDbm(0.0)))):
     """One operating point of the TX chain.
 
     ``p_mixer_out`` doubles as the PA input. ``p_pa_out`` absent means
@@ -46,18 +45,14 @@ class ChainConfig:
     gain included; the CLI maps an equal ``--p-pa-out`` to no PA instead.
     """
 
-    frequency: FrequencyGhz
-    p_mixer_out: PowerDbm
-    p_if_in: PowerDbm = PowerDbm(-5.0)
-    p_pa_out: PowerDbm | None = None
-    p_osc_rf: PowerDbm = PowerDbm(0.0)
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.p_pa_out is not None and self.p_pa_out.value <= self.p_mixer_out.value:
-            raise ValueError(
-                f"PA output ({self.p_pa_out.value} dBm) must exceed mixer output "
-                f"({self.p_mixer_out.value} dBm); omit p_pa_out for a PA-less chain"
-            )
+            raise ValueError(f"PA output ({self.p_pa_out.value} dBm) must exceed mixer output "
+                             f"({self.p_mixer_out.value} dBm); omit p_pa_out for a PA-less chain")
+        return self
 
 
 _ORDER = (BlockKind.PA, BlockKind.OSCILLATOR, BlockKind.MIXER)
@@ -102,16 +97,15 @@ class PowerBreakdown(_record("PowerBreakdown", "row levels")):
         return tuple(zip(_ORDER, map(PowerMilliwatt, row[1:4]), row[5:8], _TOKEN_FLAGS[row[8]]))
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(_Slotted):
     """Chain evaluations over a strictly increasing frequency grid: the plot-CSV ``rows``, one
     per frequency, and their ``levels``, as in ``PowerBreakdown``; entries are built on access."""
 
-    rows: tuple
-    levels: tuple
+    __slots__ = ("rows", "levels")
 
-    def __post_init__(self) -> None:
-        _check_increasing(row[0] for row in self.rows)
+    def __init__(self, rows: tuple, levels: tuple) -> None:
+        _check_increasing(row[0] for row in rows)
+        self._set(rows, levels)
 
     @property
     def entries(self) -> tuple[tuple[FrequencyGhz, PowerBreakdown], ...]:
@@ -163,10 +157,6 @@ def _row(f: float, pa_mw: float, osc_mw: float, mixer_mw: float, flags: tuple) -
             _FLAG_TOKENS[flags])
 
 
-def _levels(cfg: ChainConfig) -> tuple:
-    return cfg.p_mixer_out, cfg.p_if_in, cfg.p_pa_out, cfg.p_osc_rf
-
-
 def chain_breakdown(
     pa: PaModel | None,
     osc: OscModel,
@@ -191,7 +181,7 @@ def chain_breakdown(
                (pa_ex, osc_ex, mixer_ex))
     if row[4] == inf:  # every part is >= 0, so an overflowed power shows in the total
         raise ValueError(f"total draw at {row[0]} GHz: power in mW must be finite (got inf)")
-    return PowerBreakdown(row, _levels(cfg))
+    return PowerBreakdown(row, cfg[1:])
 
 
 def sweep(
@@ -222,10 +212,10 @@ def sweep(
     failed = next((f for f, row in zip(frequencies, rows) if row[4] == inf), None)
     if failed is not None:
         try:
-            chain_breakdown(pa, osc, mix, type(base_cfg)(failed, *_levels(base_cfg)))
+            chain_breakdown(pa, osc, mix, base_cfg._replace(frequency=failed))
         except ValueError as exc:
             raise ValueError(f"sweep failed at {failed.value} GHz: {exc}") from None
-    return SweepResult(tuple(rows), _levels(base_cfg))
+    return SweepResult(tuple(rows), base_cfg[1:])
 
 
 def recommend_frequency(
@@ -259,7 +249,7 @@ def recommend_frequency(
             "is inside all model validity ranges with every figure of merit physical; "
             "pass allow_extrapolation to search anyway"))
     f_best = FrequencyGhz(_argmin(terms, f_lo, f_hi))
-    return f_best, chain_breakdown(pa, osc, mix, type(base_cfg)(f_best, *_levels(base_cfg)))
+    return f_best, chain_breakdown(pa, osc, mix, base_cfg._replace(frequency=f_best))
 
 
 def _admissible_interval(terms: tuple, lo: float, hi: float, allow_extrapolation: bool) -> tuple:

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .fileio import write_text_atomic
@@ -32,8 +31,8 @@ class ZeroVarianceError(ValueError):
     """R-squared is undefined: the observations have zero variance."""
 
 
-@dataclass(frozen=True)
-class ExpFitModel:
+class ExpFitModel(_record("ExpFitModel", "a b valid_lo valid_hi r_squared_linear r_squared_log "
+                                         "n_points strategy")):
     """Fitted exponential trend y(f) = a * exp(b * f).
 
     ``a`` is in the metric's own units, ``b`` in 1/GHz. The validity range
@@ -41,29 +40,23 @@ class ExpFitModel:
     points; evaluation outside it is allowed but flagged.
     """
 
-    a: float
-    b: float
-    valid_lo: FrequencyGhz
-    valid_hi: FrequencyGhz
-    r_squared_linear: float
-    r_squared_log: float
-    n_points: int
-    strategy: str
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.a <= 0.0 or not math.isfinite(self.a):
             raise ValueError(f"amplitude must be finite and > 0 (got {self.a})")
         if not math.isfinite(self.b):
             raise ValueError(f"rate must be finite (got {self.b})")
         if self.valid_lo.value >= self.valid_hi.value:
-            raise ValueError(
-                f"validity range inverted: [{self.valid_lo.value}, {self.valid_hi.value}] GHz"
-            )
+            raise ValueError("validity range inverted: "
+                             f"[{self.valid_lo.value}, {self.valid_hi.value}] GHz")
         if self.n_points < 2:
             raise ValueError(f"a fit requires >= 2 points (got {self.n_points})")
         for r2 in (self.r_squared_linear, self.r_squared_log):
             if not math.isfinite(r2) or r2 > 1.0:
                 raise ValueError(f"R-squared must be finite and <= 1 (got {r2})")
+        return self
 
 
 class FitDiagnostics(_record("FitDiagnostics", "residuals_log predicted")):
@@ -197,20 +190,17 @@ def fit_survey(path, kind: BlockKind,
 # --- persistence ----------------------------------------------------------
 
 
+# The model document's key, JSON type and conversion of each ExpFitModel field, in field order.
+_MODEL_FIELDS = (("a", float, None), ("b", float, None), ("valid_lo_ghz", float, FrequencyGhz),
+                 ("valid_hi_ghz", float, FrequencyGhz), ("r2_linear", float, None),
+                 ("r2_log", float, None), ("n_points", int, None), ("strategy", str, None))
+
+
 def model_to_dict(block: BlockKind, model: ExpFitModel, source_digest: str) -> dict:
     """JSON-ready document for a fitted block model."""
-    return {
-        "block": block.token,
-        "a": model.a,
-        "b": model.b,
-        "valid_lo_ghz": model.valid_lo.value,
-        "valid_hi_ghz": model.valid_hi.value,
-        "r2_linear": model.r_squared_linear,
-        "r2_log": model.r_squared_log,
-        "n_points": model.n_points,
-        "strategy": model.strategy,
-        "source_dataset_digest": source_digest,
-    }
+    fields = {key: value if convert is None else value.value
+              for (key, _, convert), value in zip(_MODEL_FIELDS, model)}
+    return {"block": block.token, **fields, "source_dataset_digest": source_digest}
 
 
 def _json(value, kind: type):
@@ -234,16 +224,7 @@ def model_from_dict(doc: dict) -> tuple[BlockKind, ExpFitModel, str]:
             raise ValueError(f"model document field {name!r} is invalid: {exc}") from None
 
     block = field("block", str, BlockKind.from_token)
-    model = ExpFitModel(
-        a=field("a", float),
-        b=field("b", float),
-        valid_lo=field("valid_lo_ghz", float, FrequencyGhz),
-        valid_hi=field("valid_hi_ghz", float, FrequencyGhz),
-        r_squared_linear=field("r2_linear", float),
-        r_squared_log=field("r2_log", float),
-        n_points=field("n_points", int),
-        strategy=field("strategy", str),
-    )
+    model = ExpFitModel(*[field(*spec) for spec in _MODEL_FIELDS])
     return block, model, field("source_dataset_digest", str)
 
 

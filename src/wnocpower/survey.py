@@ -26,10 +26,9 @@ import csv
 import enum
 import io
 import math
-from dataclasses import dataclass
 from typing import IO, Iterator, Union
 
-from .units import FrequencyGhz, _record
+from .units import FrequencyGhz, _record, _Slotted
 
 
 class SurveyFormatError(ValueError):
@@ -88,25 +87,22 @@ class SurveyRecord(_record("SurveyRecord", "block frequency metric label technol
         return tuple.__new__(cls, (block, frequency, metric, label, technology_node, notes))
 
 
-@dataclass(frozen=True)
-class SurveyDataset:
+class SurveyDataset(_Slotted):
     """An ordered, homogeneous collection of survey records."""
 
-    kind: BlockKind
-    records: tuple[SurveyRecord, ...]
+    __slots__ = ("kind", "records")
 
-    def __post_init__(self) -> None:
+    def __init__(self, kind: BlockKind, records: tuple[SurveyRecord, ...]) -> None:
         seen: set[tuple[float, float, str]] = set()
-        for rec in self.records:
-            if rec.block is not self.kind:
-                raise ValueError(
-                    f"heterogeneous block kinds: dataset is {self.kind.token}, "
-                    f"record {rec.label!r} is {rec.block.token}"
-                )
+        for rec in records:
+            if rec.block is not kind:
+                raise ValueError(f"heterogeneous block kinds: dataset is {kind.token}, "
+                                 f"record {rec.label!r} is {rec.block.token}")
             key = (rec.frequency.value, rec.metric, rec.label)
             if key in seen:
                 raise ValueError(f"duplicate record (frequency, metric, label)={key}")
             seen.add(key)
+        self._set(kind, records)
 
     def __len__(self) -> int:
         return len(self.records)

@@ -3,24 +3,24 @@
 Power is carried either in dBm (log domain, boundary/API values) or in
 milliwatts (linear domain, all internal arithmetic). Frequency is always
 gigahertz. The three wrappers are deliberately distinct types with no
-cross-type arithmetic, so a dBm value can never be added to a milliwatt
-value by accident; conversions are explicit. The library's other value
-types are immutable records built on ``_record``.
+cross-type arithmetic or ordering, so a dBm value can never be added to a
+milliwatt value by accident; conversions are explicit. Every value type of
+the library is immutable: a record built on ``_record``, or a ``_Slotted``.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 
 
 def _record(name: str, fields: str, defaults: tuple = ()) -> type:
-    """The base of an immutable value record: a namedtuple of ``fields`` that hashes as, and
-    equals, the plain tuple of its fields, but never equals a record of another class.
-    ``_make`` and ``_replace`` go through ``__new__``, so the checks of a subclass's own
-    ``__new__`` hold for every instance. A frozen dataclass compiles each method it generates
-    at import; this compiles only the namedtuple's ``__new__``."""
+    """The base of an immutable value record: a namedtuple of ``fields`` that hashes and
+    compares (all six ways) as the plain tuple of its fields, but only with a record of its
+    class: across classes ``==`` is False and ordering a TypeError. Like a dataclass, it
+    neither concatenates nor repeats (``+``, ``*``). ``_make`` and ``_replace`` go through
+    ``__new__``, so a subclass's checks there hold for every instance. A frozen dataclass
+    would compile each method it generates at import; this compiles only ``__new__``."""
     def same_class(compare):  # the tuples' comparison, between records of one class only
         return lambda self, other: (compare(self, other) if type(other) is type(self)
                                     else NotImplemented)
@@ -28,47 +28,80 @@ def _record(name: str, fields: str, defaults: tuple = ()) -> type:
     class Record(namedtuple(name, fields, defaults=defaults)):
         __slots__ = ()
         __hash__ = tuple.__hash__
-        __eq__, __ne__ = same_class(tuple.__eq__), same_class(tuple.__ne__)
+        __eq__, __ne__, __lt__, __le__, __gt__, __ge__ = map(same_class, (
+            tuple.__eq__, tuple.__ne__, tuple.__lt__, tuple.__le__, tuple.__gt__, tuple.__ge__))
+        __add__ = __mul__ = __rmul__ = lambda self, other: NotImplemented
         _make = classmethod(lambda cls, iterable: cls(*iterable))
 
     return Record
 
 
-@dataclass(frozen=True, order=True)
-class PowerDbm:
+class _Slotted:
+    """The base of an immutable value class that cannot be a tuple: ``__slots__`` lists its
+    fields, which its ``__init__`` checks and sets with ``_set``. Repr, equality within a class
+    and hash are a record's; pickling and copying rebuild an instance through its checks."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, *value) -> None:
+        raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self) -> tuple:  # the constructor and its arguments, the fields in order
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other) -> bool:
+        return (self.__reduce__() == other.__reduce__() if type(other) is type(self)
+                else NotImplemented)
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__()[1])
+
+
+class PowerDbm(_record("PowerDbm", "value")):
     """Power level in decibel-milliwatts. May be negative; must be finite."""
 
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value):
-            raise ValueError(f"power in dBm must be finite (got {self.value})")
+    def __new__(cls, value: float):
+        if not math.isfinite(value):
+            raise ValueError(f"power in dBm must be finite (got {value})")
+        return tuple.__new__(cls, (value,))
 
 
-@dataclass(frozen=True, order=True)
-class PowerMilliwatt:
+class PowerMilliwatt(_record("PowerMilliwatt", "value")):
     """Linear power in milliwatts.
 
     Zero is permitted (a power difference or an absent block can be 0 mW),
     negative values are not.
     """
 
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value) or self.value < 0.0:
-            raise ValueError(f"power in mW must be finite and >= 0 (got {self.value})")
+    def __new__(cls, value: float):
+        if not math.isfinite(value) or value < 0.0:
+            raise ValueError(f"power in mW must be finite and >= 0 (got {value})")
+        return tuple.__new__(cls, (value,))
 
 
-@dataclass(frozen=True, order=True)
-class FrequencyGhz:
+class FrequencyGhz(_record("FrequencyGhz", "value")):
     """Operating frequency in gigahertz. Strictly positive."""
 
-    value: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not math.isfinite(self.value) or self.value <= 0.0:
-            raise ValueError(f"frequency in GHz must be finite and > 0 (got {self.value})")
+    def __new__(cls, value: float):
+        if not math.isfinite(value) or value <= 0.0:
+            raise ValueError(f"frequency in GHz must be finite and > 0 (got {value})")
+        return tuple.__new__(cls, (value,))
 
 
 def _dbm_mw(dbm: float) -> float:

@@ -5,7 +5,6 @@ import math
 import random
 import re
 import sys
-from dataclasses import replace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -146,7 +145,7 @@ def test_extrapolation_flags_propagate_per_block():
 ])
 def test_an_unrepresentable_level_is_named_by_every_chain_function(field, dbm, message):
     pa, osc, mix = constant_models()
-    base = replace(cfg(mixer_out=-5.0, pa_out=None), **{field: PowerDbm(dbm)})
+    base = cfg(mixer_out=-5.0, pa_out=None)._replace(**{field: PowerDbm(dbm)})
     calls = [lambda: chain_breakdown(pa, osc, mix, base),
              lambda: sweep(pa, osc, mix, base, [FrequencyGhz(30.0), FrequencyGhz(60.0)]),
              lambda: recommend_frequency(pa, osc, mix, base, FrequencyGhz(20.0),
@@ -200,10 +199,8 @@ def test_sweep_matches_pointwise_breakdowns(bundle_models):
     freqs = [FrequencyGhz(f) for f in (15.0, 45.0, 90.0, 135.0)]
     base = cfg(mixer_out=-5.0, pa_out=0.0)
     result = sweep(pa, osc, mix, base, freqs)
-    from dataclasses import replace
-
     for f, bd in result:
-        assert bd == chain_breakdown(pa, osc, mix, replace(base, frequency=f))
+        assert bd == chain_breakdown(pa, osc, mix, base._replace(frequency=f))
     again = sweep(pa, osc, mix, base, freqs)
     assert again == result
 
@@ -220,13 +217,13 @@ def test_row_backed_sweep_result_agrees_with_pointwise_breakdowns(bundle_models)
     base = cfg(mixer_out=-5.0, pa_out=3.0)
     freqs = [FrequencyGhz(f) for f in frequency_grid(20.0, 250.0, 37)]  # across 140 GHz
     result = sweep(pa, osc, mix, base, freqs)
-    expected = tuple((f, chain_breakdown(pa, osc, mix, replace(base, frequency=f)))
+    expected = tuple((f, chain_breakdown(pa, osc, mix, base._replace(frequency=f)))
                      for f in freqs)
     assert result.entries == expected
     assert tuple(result) == expected
     assert len(result) == len(expected)
     assert result == SweepResult(tuple(bd.row for _f, bd in expected), expected[0][1].levels)
-    assert result != sweep(pa, osc, mix, replace(base, p_mixer_out=PowerDbm(-6.0)), freqs)
+    assert result != sweep(pa, osc, mix, base._replace(p_mixer_out=PowerDbm(-6.0)), freqs)
     kinds = (BlockKind.PA, BlockKind.OSCILLATOR, BlockKind.MIXER)  # ties go to the first
     assert dominance_report(result) == [(f, kinds[max(range(3), key=bd.fractions.__getitem__)])
                                         for f, bd in expected]
@@ -319,7 +316,7 @@ def test_recommend_finds_a_physical_band_narrower_than_half_the_range():
 
 def test_recommend_pins_an_interior_minimum(bundle_models):
     pa, osc, mix = bundle_models  # with a rising-FoM mixer, whose draw falls with frequency
-    rising = MixerModel(replace(mix.fom_fit, a=0.02, b=0.05))
+    rising = MixerModel(mix.fom_fit._replace(a=0.02, b=0.05))
     f, bd = recommend_frequency(pa, osc, rising, cfg(mixer_out=-5.0, pa_out=0.0),
                                 FrequencyGhz(20.0), FrequencyGhz(140.0))
     assert repr(f.value) == "74.28873187089798"
@@ -333,7 +330,7 @@ def test_recommend_pins_the_interior_minimum_in_few_slope_probes(bundle_models, 
     probes, slope = [], chain_module._slope
     monkeypatch.setattr(chain_module, "_slope",
                         lambda rates, f: probes.append(f) or slope(rates, f))
-    rising = MixerModel(replace(mix.fom_fit, a=0.02, b=0.05))
+    rising = MixerModel(mix.fom_fit._replace(a=0.02, b=0.05))
     f, _ = recommend_frequency(pa, osc, rising, cfg(mixer_out=-5.0, pa_out=0.0),
                                FrequencyGhz(20.0), FrequencyGhz(140.0))
     assert repr(f.value) == "74.28873187089798"
@@ -481,15 +478,13 @@ def test_overflowing_power_fails_a_point_but_not_a_search():
 
 @pytest.mark.parametrize("pa_out", [None, 0.0, 5.0])
 def test_sweep_csv_is_byte_identical_to_pointwise_breakdowns(bundle_models, pa_out):
-    from dataclasses import replace
-
     pa, osc, mix = bundle_models
     freqs = [FrequencyGhz(100.0 + 0.0371 * i) for i in range(2000)]  # 100 .. ~174 GHz
     swept, pointwise = [], []
     for level in (-15.0, -10.0, -5.0):
         base = cfg(mixer_out=level, pa_out=pa_out)
         swept.extend(bd for _f, bd in sweep(pa, osc, mix, base, freqs))
-        pointwise.extend(chain_breakdown(pa, osc, mix, replace(base, frequency=f)) for f in freqs)
+        pointwise.extend(chain_breakdown(pa, osc, mix, base._replace(frequency=f)) for f in freqs)
     text = breakdowns_to_csv(swept)
     assert ",MIXER\n" in text and text.count("\n") == 1 + len(pointwise)
     assert text == breakdowns_to_csv(pointwise)
@@ -548,12 +543,10 @@ def test_recommend_ranks_subnormal_pae_points_last():
 def pointwise(pa, osc, mix, base, freqs):
     """``chain_breakdown`` at each frequency, in order: the rows, or the first failing
     frequency and its message."""
-    from dataclasses import replace
-
     rows = []
     for f in freqs:
         try:
-            rows.append(chain_breakdown(pa, osc, mix, replace(base, frequency=f)))
+            rows.append(chain_breakdown(pa, osc, mix, base._replace(frequency=f)))
         except ValueError as exc:
             return f, str(exc)
     return rows

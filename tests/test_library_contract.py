@@ -11,7 +11,6 @@ figure of merit itself, probes only points where every one is physical.
 """
 
 import math
-from dataclasses import replace
 from unittest import mock
 
 from hypothesis import given, settings, strategies as st
@@ -142,7 +141,7 @@ def slope_probes(pa, osc, mix, cfg, lo, hi, allow):
 
 
 # The bundle PA and oscillator with a rising-FoM mixer: an interior minimum at ~74.3 GHz.
-_INTERIOR = (_PA, _OSC, MixerModel(replace(_MIX.fom_fit, a=0.02, b=0.05)),
+_INTERIOR = (_PA, _OSC, MixerModel(_MIX.fom_fit._replace(a=0.02, b=0.05)),
              ChainConfig(FrequencyGhz(60.0), PowerDbm(-5.0), PowerDbm(-5.0), PowerDbm(0.0)))
 
 
