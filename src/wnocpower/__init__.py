@@ -9,7 +9,6 @@ from .blocks import (
     MixerModel,
     OscModel,
     PaModel,
-    conversion_gain_db,
     mixer_dc_power,
     osc_dc_power,
     pa_dc_power,
@@ -50,7 +49,6 @@ from .survey import (
     SurveyRecord,
     best_in_class,
     dataset_digest,
-    filter_frequency,
     load_survey_csv,
     parse_survey_csv,
     serialize_survey_csv,

@@ -206,8 +206,3 @@ def mixer_dc_power(
     draw.
     """
     return _block_dc(_term(m.kind, m.fom_fit, _mixer_numerator(p_if_in, p_rf_out)), f)
-
-
-def conversion_gain_db(p_if_in: PowerDbm, p_rf_out: PowerDbm) -> float:
-    """Mixer conversion gain in dB; negative values are conversion loss."""
-    return p_rf_out.value - p_if_in.value

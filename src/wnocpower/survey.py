@@ -198,14 +198,6 @@ def best_in_class(data: SurveyDataset, strategy: FrontierStrategy | None = None)
     return SurveyDataset(data.kind, tuple(data.records[i] for i in idx))
 
 
-def filter_frequency(data: SurveyDataset, lo: FrequencyGhz, hi: FrequencyGhz) -> SurveyDataset:
-    """Keep records with lo <= frequency <= hi, preserving order."""
-    if lo.value >= hi.value:
-        raise ValueError(f"inverted frequency range [{lo.value}, {hi.value}] GHz")
-    kept = tuple(rec for rec in data.records if lo.value <= rec.frequency.value <= hi.value)
-    return SurveyDataset(data.kind, kept)
-
-
 # --- CSV parsing and serialization ---------------------------------------
 
 _REQUIRED_COLUMNS = ("block", "frequency_ghz", "metric", "label")

@@ -16,7 +16,6 @@ from wnocpower.blocks import (
     _dcs,
     _slope,
     _term,
-    conversion_gain_db,
     mixer_dc_power,
     osc_dc_power,
     pa_dc_power,
@@ -152,22 +151,6 @@ def test_mixer_rejects_underflowed_fom():
     mix = MixerModel(fit(1e-300, b=-1.0))
     with pytest.raises(ValueError, match="must be > 0"):
         mixer_dc_power(mix, FrequencyGhz(900.0), PowerDbm(-5.0), PowerDbm(-5.0))
-
-
-# --- conversion gain ----------------------------------------------------------
-
-
-def test_conversion_gain_values():
-    assert conversion_gain_db(PowerDbm(-5.0), PowerDbm(-5.0)) == 0.0
-    assert conversion_gain_db(PowerDbm(3.0), PowerDbm(-5.0)) == -8.0
-    assert conversion_gain_db(PowerDbm(-15.0), PowerDbm(0.0)) == 15.0
-
-
-def test_conversion_gain_antisymmetric():
-    rng = random.Random(2)
-    for _ in range(100):
-        a, b = PowerDbm(rng.uniform(-30, 10)), PowerDbm(rng.uniform(-30, 10))
-        assert conversion_gain_db(a, b) == -conversion_gain_db(b, a)
 
 
 # --- shared behavior -----------------------------------------------------------

@@ -576,6 +576,13 @@ def test_top_level_help_and_version_return_zero(flag, shown, capsys):
     assert captured.out.startswith(shown) and captured.err == ""
 
 
+def test_version_is_stated_once():
+    # a regex, not tomllib: Python 3.10 has no TOML reader
+    pyproject = (Path(__file__).parents[1] / "pyproject.toml").read_text(encoding="utf-8")
+    project = re.search(r"^\[project\]$(.*?)(?=^\[|\Z)", pyproject, re.M | re.S).group(1)
+    assert re.search(r'^version = "([^"]+)"$', project, re.M).group(1) == __version__
+
+
 def test_sweep_with_empty_freqs_is_a_usage_error(models, tmp_path, capsys):
     code = main(["sweep", *model_flags(models), "--freqs=", "--p-mixer-out", "-5",
                  "--out", str(tmp_path / "s.csv")])
@@ -622,16 +629,31 @@ def _model_file(tmp_path, kind, a, b):
     return str(path)
 
 
+# the --range flags and answer of each rising-FoM case: with no PA the total falls with frequency
+_RISING = {"range-end": (["10:300"], "300 GHz"),
+           "span-end": (["10:400"], "300 GHz"),  # the models' span ends at 300 GHz
+           # past the span, the oscillator's efficiency 0.1 * exp(0.005 f) reaches 1 at ln(10)/0.005
+           "efficiency-1": (["10:600", "--allow-extrapolation"], "460.517 GHz")}
+
+
 @pytest.mark.parametrize("case, label", [("bundle", "(at admissible bound: lower)"),
-                                         ("interior", "(interior minimum)")])
+                                         ("interior", "(interior minimum)"),
+                                         ("range-end", "(at range boundary: upper)"),
+                                         ("span-end", "(at admissible bound: upper)"),
+                                         ("efficiency-1", "(at admissible bound: upper)")])
 def test_recommend_labels_which_bound_the_answer_sits_on(models, tmp_path, capsys, case, label):
+    search = ["10:300"]
     if case == "bundle":  # 12.7 GHz is where the oscillator's span starts
         flags, expected = [*model_flags(models), "--p-pa-out", "0"], "12.7 GHz"
-    else:
+    elif case == "interior":
         flags = ["--osc-model", _model_file(tmp_path, BlockKind.OSCILLATOR, 0.5, -0.007),
                  "--mixer-model", _model_file(tmp_path, BlockKind.MIXER, 0.01, 0.03)]
         expected = "145.062 GHz"
-    code = main(["recommend", *flags, "--range", "10:300", "--p-mixer-out", "-5"])
+    else:
+        flags = ["--osc-model", _model_file(tmp_path, BlockKind.OSCILLATOR, 0.1, 0.005),
+                 "--mixer-model", _model_file(tmp_path, BlockKind.MIXER, 0.01, 0.01)]
+        search, expected = _RISING[case]
+    code = main(["recommend", *flags, "--range", *search, "--p-mixer-out", "-5"])
     assert code == EXIT_OK
     first = capsys.readouterr().out.splitlines()[0]
     assert first == f"recommended operating frequency: {expected} {label}"

@@ -13,7 +13,6 @@ from wnocpower.survey import (
     SurveyRecord,
     best_in_class,
     dataset_digest,
-    filter_frequency,
     parse_survey_csv,
     serialize_survey_csv,
 )
@@ -364,33 +363,6 @@ def test_binned_max_rejects_bad_bin_count():
 def test_binned_max_requires_an_int_bin_count(bins):
     with pytest.raises(ValueError, match=r"^bin count must be an int"):
         BinnedMax(bins=bins)
-
-
-# --- frequency filter ------------------------------------------------------
-
-
-def test_filter_frequency_inclusive_bounds():
-    ds = dataset([(10.0, 1.0), (50.0, 2.0), (310.0, 3.0)])
-    out = filter_frequency(ds, FrequencyGhz(12.7), FrequencyGhz(310.0))
-    assert [r.frequency.value for r in out] == [50.0, 310.0]
-
-
-def test_filter_frequency_keeps_boundary_point():
-    ds = dataset([(10.0, 1.0), (50.0, 2.0), (90.0, 3.0)])
-    out = filter_frequency(ds, FrequencyGhz(49.999), FrequencyGhz(50.0))
-    assert [r.frequency.value for r in out] == [50.0]
-
-
-def test_filter_frequency_empty_result_is_allowed():
-    ds = dataset([(10.0, 1.0)])
-    out = filter_frequency(ds, FrequencyGhz(100.0), FrequencyGhz(200.0))
-    assert len(out) == 0 and out.kind is BlockKind.PA
-
-
-def test_filter_frequency_rejects_inverted_range():
-    ds = dataset([(10.0, 1.0)])
-    with pytest.raises(ValueError, match="inverted"):
-        filter_frequency(ds, FrequencyGhz(50.0), FrequencyGhz(50.0))
 
 
 def test_binned_max_frequencies_with_equal_log10_share_bin_zero():
