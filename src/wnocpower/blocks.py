@@ -62,7 +62,7 @@ def _term(kind: BlockKind, fit: ExpFitModel, num: float) -> _Term:
     """The term of a block with FoM trend ``fit`` and numerator ``num`` mW; its scale and
     physical range are the block's ``survey._METRIC_RANGE`` row."""
     fom_hi, _unit, scale, _problem = _METRIC_RANGE[kind]
-    return _Term(fit.a, fit.b, num, scale, fom_hi, kind, fit)
+    return tuple.__new__(_Term, (fit.a, fit.b, num, scale, fom_hi, kind, fit))
 
 
 def _block_dc(term: _Term, f: FrequencyGhz) -> tuple[PowerMilliwatt, bool]:

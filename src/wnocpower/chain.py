@@ -35,8 +35,7 @@ class NoAdmissiblePointError(ValueError):
     of merit physical."""
 
 
-class ChainConfig(_record("ChainConfig", "frequency p_mixer_out p_if_in p_pa_out p_osc_rf",
-                          (PowerDbm(-5.0), None, PowerDbm(0.0)))):
+class ChainConfig(_record("ChainConfig", "frequency p_mixer_out p_if_in p_pa_out p_osc_rf")):
     """One operating point of the TX chain.
 
     ``p_mixer_out`` doubles as the PA input. ``p_pa_out`` absent means
@@ -47,12 +46,13 @@ class ChainConfig(_record("ChainConfig", "frequency p_mixer_out p_if_in p_pa_out
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.p_pa_out is not None and self.p_pa_out.value <= self.p_mixer_out.value:
-            raise ValueError(f"PA output ({self.p_pa_out.value} dBm) must exceed mixer output "
-                             f"({self.p_mixer_out.value} dBm); omit p_pa_out for a PA-less chain")
-        return self
+    def __new__(cls, frequency: FrequencyGhz, p_mixer_out: PowerDbm,
+                p_if_in: PowerDbm = PowerDbm(-5.0), p_pa_out: PowerDbm | None = None,
+                p_osc_rf: PowerDbm = PowerDbm(0.0)):
+        if p_pa_out is not None and p_pa_out.value <= p_mixer_out.value:
+            raise ValueError(f"PA output ({p_pa_out.value} dBm) must exceed mixer output "
+                             f"({p_mixer_out.value} dBm); omit p_pa_out for a PA-less chain")
+        return tuple.__new__(cls, (frequency, p_mixer_out, p_if_in, p_pa_out, p_osc_rf))
 
 
 _ORDER = (BlockKind.PA, BlockKind.OSCILLATOR, BlockKind.MIXER)
@@ -249,7 +249,7 @@ def recommend_frequency(
             "is inside all model validity ranges with every figure of merit physical; "
             "pass allow_extrapolation to search anyway"))
     f_best = FrequencyGhz(_argmin(terms, f_lo, f_hi))
-    return f_best, chain_breakdown(pa, osc, mix, base_cfg._replace(frequency=f_best))
+    return f_best, chain_breakdown(pa, osc, mix, ChainConfig(f_best, *base_cfg[1:]))
 
 
 def _admissible_interval(terms: tuple, lo: float, hi: float, allow_extrapolation: bool) -> tuple:

@@ -42,21 +42,21 @@ class ExpFitModel(_record("ExpFitModel", "a b valid_lo valid_hi r_squared_linear
 
     __slots__ = ()
 
-    def __new__(cls, *args, **kwargs):
-        self = super().__new__(cls, *args, **kwargs)
-        if self.a <= 0.0 or not math.isfinite(self.a):
-            raise ValueError(f"amplitude must be finite and > 0 (got {self.a})")
-        if not math.isfinite(self.b):
-            raise ValueError(f"rate must be finite (got {self.b})")
-        if self.valid_lo.value >= self.valid_hi.value:
-            raise ValueError("validity range inverted: "
-                             f"[{self.valid_lo.value}, {self.valid_hi.value}] GHz")
-        if self.n_points < 2:
-            raise ValueError(f"a fit requires >= 2 points (got {self.n_points})")
-        for r2 in (self.r_squared_linear, self.r_squared_log):
+    def __new__(cls, a: float, b: float, valid_lo: FrequencyGhz, valid_hi: FrequencyGhz,
+                r_squared_linear: float, r_squared_log: float, n_points: int, strategy: str):
+        if a <= 0.0 or not math.isfinite(a):
+            raise ValueError(f"amplitude must be finite and > 0 (got {a})")
+        if not math.isfinite(b):
+            raise ValueError(f"rate must be finite (got {b})")
+        if valid_lo.value >= valid_hi.value:
+            raise ValueError(f"validity range inverted: [{valid_lo.value}, {valid_hi.value}] GHz")
+        if n_points < 2:
+            raise ValueError(f"a fit requires >= 2 points (got {n_points})")
+        for r2 in (r_squared_linear, r_squared_log):
             if not math.isfinite(r2) or r2 > 1.0:
                 raise ValueError(f"R-squared must be finite and <= 1 (got {r2})")
-        return self
+        return tuple.__new__(cls, (a, b, valid_lo, valid_hi, r_squared_linear, r_squared_log,
+                                   n_points, strategy))
 
 
 class FitDiagnostics(_record("FitDiagnostics", "residuals_log predicted")):

@@ -17,10 +17,12 @@ from collections import namedtuple
 def _record(name: str, fields: str, defaults: tuple = ()) -> type:
     """The base of an immutable value record: a namedtuple of ``fields`` that hashes and
     compares (all six ways) as the plain tuple of its fields, but only with a record of its
-    class: across classes ``==`` is False and ordering a TypeError. Like a dataclass, it
-    neither concatenates nor repeats (``+``, ``*``). ``_make`` and ``_replace`` go through
-    ``__new__``, so a subclass's checks there hold for every instance. A frozen dataclass
-    would compile each method it generates at import; this compiles only ``__new__``."""
+    class: across classes ``==`` is False and ordering a TypeError. Like a dataclass, it neither
+    concatenates nor repeats (``+``, ``*``). ``_make`` and ``_replace`` go through ``__new__``, so
+    a subclass's checks there hold for every instance. A subclass that checks its fields takes
+    them as ``__new__`` parameters, checks those and returns ``tuple.__new__(cls, fields)``: one
+    Python frame per instance. A frozen dataclass would compile each method it generates at
+    import; this compiles only ``__new__``."""
     def same_class(compare):  # the tuples' comparison, between records of one class only
         return lambda self, other: (compare(self, other) if type(other) is type(self)
                                     else NotImplemented)
@@ -79,11 +81,8 @@ class PowerDbm(_record("PowerDbm", "value")):
 
 
 class PowerMilliwatt(_record("PowerMilliwatt", "value")):
-    """Linear power in milliwatts.
-
-    Zero is permitted (a power difference or an absent block can be 0 mW),
-    negative values are not.
-    """
+    """Linear power in milliwatts. Zero is permitted (a power difference or an absent block
+    can be 0 mW), negative values are not."""
 
     __slots__ = ()
 

@@ -31,7 +31,7 @@ from hypothesis import given, settings, strategies as st
 from test_library_contract import chains, frequencies
 from wnocpower.blocks import MixerModel, OscModel, PaModel, _dcs
 from wnocpower.chain import (ChainConfig, NoAdmissiblePointError, _admissible_interval, _argmin,
-                             _terms, recommend_frequency)
+                             _terms, chain_breakdown, recommend_frequency)
 from wnocpower.regression import ExpFitModel
 from wnocpower.units import FrequencyGhz, PowerDbm
 
@@ -147,10 +147,15 @@ def first_true(pred, lo, hi):
     return lo
 
 
-def recommend(fits, cfg, lo, hi, allow):
+def models(fits, cfg):
+    """The chain's PA (None without one), oscillator and mixer models."""
     pa = PaModel(fits["PA"]) if cfg.p_pa_out is not None else None
-    return recommend_frequency(pa, OscModel(fits["OSC"]), MixerModel(fits["MIXER"]), cfg,
-                               FrequencyGhz(lo), FrequencyGhz(hi), allow_extrapolation=allow)
+    return pa, OscModel(fits["OSC"]), MixerModel(fits["MIXER"])
+
+
+def recommend(fits, cfg, lo, hi, allow):
+    return recommend_frequency(*models(fits, cfg), cfg, FrequencyGhz(lo), FrequencyGhz(hi),
+                               allow_extrapolation=allow)
 
 
 def outcome(ref, fits, cfg, f):
@@ -176,6 +181,9 @@ def test_exact_recommendation_is_no_worse_than_the_best_grid_node():
             assert best == math.inf, f"seed {seed}: refused, but a node totals {best!r} mW"
             seen["refused", cfg.p_pa_out is None] += 1
             continue
+        answer = cfg._replace(frequency=f)
+        assert bd == chain_breakdown(*models(fits, cfg), answer), f"seed {seed}"
+        assert bd.config == answer, f"seed {seed}"
         f = f.value
         assert lo <= f <= hi and ref.admissible(f), f"seed {seed}: {f} GHz is not admissible"
         total = bd.total_mw.value

@@ -17,11 +17,12 @@ import math
 import operator
 import pickle
 import re
+import sys
 from pathlib import Path
 
 import pytest
 
-from wnocpower.blocks import MixerModel, OscModel, PaModel
+from wnocpower.blocks import MixerModel, OscModel, PaModel, _term
 from wnocpower.chain import ChainConfig, PowerBreakdown, SweepResult, sweep
 from wnocpower.exampledata import (BundleReport, CheckResult, ExampleBundle, default_bundle,
                                    fit_bundle)
@@ -179,6 +180,37 @@ def test_equal_records_compare_equal_and_hash_as_their_field_tuple(cls):
     assert a != other and not a == other
     for copied in (pickle.loads(pickle.dumps(a)), copy.deepcopy(a)):
         assert type(copied) is cls and copied == a
+
+
+def _frames(make, *args, **kwargs):
+    """The code of each Python frame that ``make(*args, **kwargs)`` runs, in call order, apart
+    from the unit types' ``__new__``."""
+    units = {cls.__new__.__code__ for cls in (FrequencyGhz, PowerDbm, PowerMilliwatt)}
+    frames = []
+
+    def profile(frame, event, _arg):
+        if event == "call" and frame.f_code not in units:
+            frames.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        make(*args, **kwargs)
+    finally:
+        sys.setprofile(None)
+    return frames
+
+
+@pytest.mark.parametrize("make, args, kwargs, code", [
+    (ChainConfig, (), _by_name(CFG_FIELDS, *CFG), ChainConfig.__new__.__code__),
+    (ChainConfig, CFG, {}, ChainConfig.__new__.__code__),
+    (ChainConfig, CFG[:2], {}, ChainConfig.__new__.__code__),
+    (ExpFitModel, tuple(FIT), {}, ExpFitModel.__new__.__code__),
+    (_term, (BlockKind.MIXER, FIT, 1.0), {}, _term.__code__),
+], ids=["config-by-name", "config-positional", "config-defaults", "fit", "term"])
+def test_each_record_on_the_recommend_path_is_built_in_one_python_frame(make, args, kwargs, code):
+    # Call structure, not timing: a second frame (namedtuple's generated ``__new__``) costs
+    # each construction a Python call, and a recommend call builds nine terms and a config.
+    assert _frames(make, *args, **kwargs) == [code]
 
 
 def test_block_models_are_pairwise_unequal():
