@@ -244,7 +244,7 @@ def recommend_frequency(
     terms = _terms(pa, osc, mix, base_cfg)
     f_lo, f_hi = _admissible_interval(terms, lo.value, hi.value, allow_extrapolation)
     if f_lo > f_hi:
-        raise NoAdmissiblePointError(f"no grid point in [{lo.value}, {hi.value}] GHz " + (
+        raise NoAdmissiblePointError(f"no frequency in [{lo.value}, {hi.value}] GHz " + (
             "has every figure of merit physical" if allow_extrapolation else
             "is inside all model validity ranges with every figure of merit physical; "
             "pass allow_extrapolation to search anyway"))

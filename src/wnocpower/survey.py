@@ -87,6 +87,17 @@ class SurveyRecord(_record("SurveyRecord", "block frequency metric label technol
         return tuple.__new__(cls, (block, frequency, metric, label, technology_node, notes))
 
 
+def _admit(kind: BlockKind, rec: SurveyRecord, seen: set) -> None:
+    """The dataset rule: ``rec`` is of ``kind`` and its key is new to ``seen``, which it joins."""
+    if rec.block is not kind:
+        raise ValueError(f"heterogeneous block kinds: dataset is {kind.token}, "
+                         f"record {rec.label!r} is {rec.block.token}")
+    key = (rec.frequency.value, rec.metric, rec.label)
+    if key in seen:
+        raise ValueError(f"duplicate record (frequency, metric, label)={key}")
+    seen.add(key)
+
+
 class SurveyDataset(_Slotted):
     """An ordered, homogeneous collection of survey records."""
 
@@ -95,13 +106,7 @@ class SurveyDataset(_Slotted):
     def __init__(self, kind: BlockKind, records: tuple[SurveyRecord, ...]) -> None:
         seen: set[tuple[float, float, str]] = set()
         for rec in records:
-            if rec.block is not kind:
-                raise ValueError(f"heterogeneous block kinds: dataset is {kind.token}, "
-                                 f"record {rec.label!r} is {rec.block.token}")
-            key = (rec.frequency.value, rec.metric, rec.label)
-            if key in seen:
-                raise ValueError(f"duplicate record (frequency, metric, label)={key}")
-            seen.add(key)
+            _admit(kind, rec, seen)
         self._set(kind, records)
 
     def __len__(self) -> int:
@@ -128,10 +133,19 @@ class ParetoUpper(_record("ParetoUpper", "")):
     """
 
     __slots__ = ()
+    tag = "pareto-upper"
 
-    @property
-    def tag(self) -> str:
-        return "pareto-upper"
+    def _keep(self, records: tuple[SurveyRecord, ...]) -> tuple[SurveyRecord, ...]:
+        # High to low frequency, and at one frequency best metric then input order
+        # first: a record is kept iff it beats every metric seen before it.
+        keep: list[int] = []
+        best = -math.inf
+        for _, neg_metric, i in sorted((-rec.frequency.value, -rec.metric, i)
+                                       for i, rec in enumerate(records)):
+            if -neg_metric > best:
+                keep.append(i)
+                best = -neg_metric
+        return tuple(records[i] for i in sorted(keep))
 
 
 class BinnedMax(_record("BinnedMax", "bins")):
@@ -150,52 +164,36 @@ class BinnedMax(_record("BinnedMax", "bins")):
     def tag(self) -> str:
         return f"binned-max:{self.bins}"
 
+    def _keep(self, records: tuple[SurveyRecord, ...]) -> tuple[SurveyRecord, ...]:
+        # With no log span (one frequency, or frequencies too close for log10 to
+        # tell apart) every record falls in bin 0. Ties keep the first record.
+        bins = self.bins
+        freqs = [rec.frequency.value for rec in records]
+        log_lo = math.log10(min(freqs))
+        log_span = math.log10(max(freqs)) - log_lo
+        best: dict[int, int] = {}
+        for i, f in enumerate(freqs):
+            b = min(bins - 1, int(bins * (math.log10(f) - log_lo) / log_span)) if log_span else 0
+            j = best.get(b)
+            if j is None or records[i].metric > records[j].metric:
+                best[b] = i
+        return tuple(records[i] for i in sorted(best.values()))
+
 
 FrontierStrategy = Union[ParetoUpper, BinnedMax]
-
-
-def _pareto_upper_indices(records: tuple[SurveyRecord, ...]) -> list[int]:
-    # High to low frequency, and at one frequency best metric then input order
-    # first: a record is kept iff it beats every metric seen before it.
-    keep: list[int] = []
-    best = -math.inf
-    for _, neg_metric, i in sorted((-rec.frequency.value, -rec.metric, i)
-                                   for i, rec in enumerate(records)):
-        if -neg_metric > best:
-            keep.append(i)
-            best = -neg_metric
-    return sorted(keep)
-
-
-def _binned_max_indices(records: tuple[SurveyRecord, ...], bins: int) -> list[int]:
-    # With no log span (one frequency, or frequencies too close for log10 to
-    # tell apart) every record falls in bin 0. Ties keep the first record.
-    freqs = [rec.frequency.value for rec in records]
-    log_lo = math.log10(min(freqs))
-    log_span = math.log10(max(freqs)) - log_lo
-    best: dict[int, int] = {}
-    for i, f in enumerate(freqs):
-        b = min(bins - 1, int(bins * (math.log10(f) - log_lo) / log_span)) if log_span else 0
-        j = best.get(b)
-        if j is None or records[i].metric > records[j].metric:
-            best[b] = i
-    return sorted(best.values())
 
 
 def best_in_class(data: SurveyDataset, strategy: FrontierStrategy | None = None) -> SurveyDataset:
     """Extract the best-in-class subset used for fitting.
 
-    Returns a dataset containing a subset of the input records in their
-    original order. The default strategy is :class:`ParetoUpper`. Raises
-    on an empty dataset.
+    Returns a dataset of the input records that ``strategy`` keeps, in their
+    original order; the default strategy is :class:`ParetoUpper`. Raises on an
+    empty dataset, and on a ``strategy`` that is neither frontier strategy.
     """
     if len(data) == 0:
         raise ValueError("cannot extract a frontier from an empty dataset")
-    if isinstance(strategy, BinnedMax):
-        idx = _binned_max_indices(data.records, strategy.bins)
-    else:
-        idx = _pareto_upper_indices(data.records)
-    return SurveyDataset(data.kind, tuple(data.records[i] for i in idx))
+    keep = (ParetoUpper() if strategy is None else strategy)._keep
+    return SurveyDataset(data.kind, keep(data.records))
 
 
 # --- CSV parsing and serialization ---------------------------------------
@@ -209,7 +207,8 @@ def parse_survey_csv(source: Union[str, bytes, IO[str], IO[bytes]]) -> SurveyDat
 
     ``source`` may be text, UTF-8 bytes, or an open file in either mode, with or
     without a byte-order mark and with LF, CRLF or CR line ends. Rows are read once,
-    header first; a malformed one raises :class:`SurveyFormatError` naming its file row.
+    header first. The first row in file order that is malformed, of another block kind than the
+    first, or repeats a (frequency, metric, label) raises :class:`SurveyFormatError` naming it.
     """
     if hasattr(source, "read"):
         source = source.read()  # type: ignore[union-attr]
@@ -239,37 +238,24 @@ def parse_survey_csv(source: Union[str, bytes, IO[str], IO[bytes]]) -> SurveyDat
     # The header check put the required columns at 0-3; the optional ones are found by name.
     tech, notes = (header.index(c) if c in extras else None for c in _OPTIONAL_COLUMNS)
     records: list[SurveyRecord] = []
-    kind: BlockKind | None = None
-
+    seen: set[tuple[float, float, str]] = set()
     for line, row in rows:
-        if len(row) != len(header):
-            raise SurveyFormatError(
-                f"row {line}: expected {len(header)} fields, got {len(row)}"
-            )
         try:
-            block = BlockKind.from_token(row[0])
-            frequency = FrequencyGhz(_parse_number(row[1], "frequency_ghz"))
-            metric = _parse_number(row[2], "metric")
-            record = SurveyRecord(block, frequency, metric, row[3].strip(),
+            if len(row) != len(header):
+                raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            record = SurveyRecord(BlockKind.from_token(row[0]),
+                                  FrequencyGhz(_parse_number(row[1], "frequency_ghz")),
+                                  _parse_number(row[2], "metric"), row[3].strip(),
                                   None if tech is None else row[tech].strip() or None,
                                   None if notes is None else row[notes].strip() or None)
+            _admit((records[0] if records else record).block, record, seen)
         except ValueError as exc:
             raise SurveyFormatError(f"row {line}: {exc}") from None
-        if kind is None:
-            kind = block
-        elif block is not kind:
-            raise SurveyFormatError(
-                f"row {line}: heterogeneous block kinds "
-                f"({block.token} after {kind.token})"
-            )
         records.append(record)
 
-    if kind is None:
+    if not records:
         raise SurveyFormatError("survey CSV has a header but no data rows")
-    try:
-        return SurveyDataset(kind, tuple(records))
-    except ValueError as exc:
-        raise SurveyFormatError(str(exc)) from None
+    return SurveyDataset(records[0].block, tuple(records))
 
 
 def _records(reader) -> Iterator[tuple[int, list[str]]]:

@@ -366,7 +366,7 @@ def test_recommend_pins_its_refusal_message(bundle_models):
         recommend_frequency(pa, osc, mix, cfg(mixer_out=-5.0, pa_out=0.0),
                             FrequencyGhz(150.0), FrequencyGhz(200.0))
     assert str(info.value) == (
-        "no grid point in [150.0, 200.0] GHz is inside all model validity ranges with every "
+        "no frequency in [150.0, 200.0] GHz is inside all model validity ranges with every "
         "figure of merit physical; pass allow_extrapolation to search anyway")
 
 

@@ -294,7 +294,7 @@ def test_recommend_rejects_fully_extrapolated_range(models, capsys):
     code = main(["recommend", *model_flags(models), "--range", "200:300",
                  "--p-mixer-out", "-5"])
     assert code == EXIT_EXTRAPOLATION
-    assert "no grid point" in capsys.readouterr().err
+    assert "no frequency in [200.0, 300.0] GHz" in capsys.readouterr().err
 
 
 def test_recommend_allow_extrapolation_flags_all_blocks(models, capsys):

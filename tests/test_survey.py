@@ -48,8 +48,9 @@ def test_parse_reports_row_number_for_bad_frequency():
 
 def test_parse_rejects_mixed_kinds():
     text = HEADER + "PA,60.0,22.5,a\nMIXER,70.0,1.5,b\n"
-    with pytest.raises(SurveyFormatError, match="heterogeneous block kinds"):
+    with pytest.raises(SurveyFormatError) as info:
         parse_survey_csv(text)
+    assert str(info.value) == "row 3: heterogeneous block kinds: dataset is PA, record 'b' is MIXER"
 
 
 def test_parse_rejects_unknown_kind():
@@ -110,9 +111,12 @@ def test_parse_rejects_short_row():
 
 
 def test_parse_rejects_duplicate_triples():
-    text = HEADER + "PA,60.0,22.5,a\nPA,60.0,22.5,a\n"
-    with pytest.raises(SurveyFormatError, match="duplicate"):
-        parse_survey_csv(text)
+    # The first fault in file order is reported: the duplicate at row 3, not the metric at row 4.
+    for tail in ("", "PA,70.0,fast,b\n"):
+        with pytest.raises(SurveyFormatError) as info:
+            parse_survey_csv(HEADER + "PA,60.0,22.5,a\nPA,60.0,22.5,a\n" + tail)
+        assert str(info.value) == ("row 3: duplicate record (frequency, metric, label)="
+                                   "(60.0, 22.5, 'a')")
 
 
 def test_dataset_construction_refuses_heterogeneous_kinds():
@@ -315,6 +319,13 @@ def test_parse_numbers_rows_by_their_physical_line_past_comments_and_blanks(ds, 
 
     assert parse(lines) == ds
     rows = [i for i, line in enumerate(lines) if line.startswith("PA,")]
+    k = data.draw(st.integers(min_value=0, max_value=len(rows) - 1))
+    j = rows[data.draw(st.integers(min_value=k, max_value=len(rows) - 1))] + 1
+    with pytest.raises(SurveyFormatError) as info:
+        parse(lines[:j] + [lines[rows[k]]] + lines[j:])
+    r = ds.records[k]
+    assert str(info.value) == (f"row {j + 1}: duplicate record (frequency, metric, label)="
+                               f"{(r.frequency.value, r.metric, r.label)}")
     i = data.draw(st.sampled_from(rows))
     fields = lines[i].split(",")
     fields[2] = "x"
