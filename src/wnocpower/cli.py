@@ -43,7 +43,7 @@ from .chain import (
     sweep,
 )
 from .exampledata import bundle_at, default_bundle, validate_bundle
-from .fileio import write_text_atomic
+from .fileio import sha256_hex, write_text_atomic
 from .regression import fit_survey, load_model, save_model
 from .survey import (
     _METRIC_RANGE,
@@ -91,12 +91,11 @@ def _write_result(path: Path, write, args: argparse.Namespace, inputs: Sequence[
     removes the old manifest, so a result may lack one but no manifest
     describes another file.
     """
-    import hashlib  # here, not at the top: it loads OpenSSL, ~2–3 ms of a cold start
     manifest = {
         "command": args.command,
         "parameters": {k: (str(v) if isinstance(v, Path) else v)
                        for k, v in vars(args).items() if k != "func" and v is not None},
-        "input_digests": {str(p): hashlib.sha256(p.read_bytes()).hexdigest() for p in inputs},
+        "input_digests": {str(p): sha256_hex(p.read_bytes()) for p in inputs},
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
     }

@@ -1,4 +1,5 @@
-"""Result-file output that a failure cannot leave half written."""
+"""Result-file output that a failure cannot leave half written, and the SHA-256 digests
+that tie fitted models and result files to their inputs."""
 
 from __future__ import annotations
 
@@ -6,6 +7,22 @@ import os
 import stat
 from pathlib import Path
 from typing import Iterable
+
+# CPython's built-in SHA-256, not hashlib's: importing hashlib loads OpenSSL (libcrypto),
+# ~3.5 MiB of a cold process's peak memory and a few ms, to hash ~100 KB. hashlib only
+# where the interpreter was built without the module (a FIPS-style build).
+try:
+    from _sha2 import sha256 as _sha256  # Python 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # Python 3.10-3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
+
+
+def sha256_hex(data: bytes) -> str:
+    """The SHA-256 of ``data`` as 64 lowercase hex digits; the program's only hash."""
+    return _sha256(data).hexdigest()
 
 
 def write_text_atomic(path, text: str | Iterable[str]) -> None:

@@ -28,6 +28,7 @@ import io
 import math
 from typing import IO, Iterator, Union
 
+from .fileio import sha256_hex
 from .units import FrequencyGhz, _record, _Slotted
 
 
@@ -255,7 +256,10 @@ def parse_survey_csv(source: Union[str, bytes, IO[str], IO[bytes]]) -> SurveyDat
 
     if not records:
         raise SurveyFormatError("survey CSV has a header but no data rows")
-    return SurveyDataset(records[0].block, tuple(records))
+    # Every record passed _admit in the loop, so the constructor's second pass is skipped.
+    data = object.__new__(SurveyDataset)
+    data._set(records[0].block, tuple(records))
+    return data
 
 
 def _records(reader) -> Iterator[tuple[int, list[str]]]:
@@ -303,5 +307,4 @@ def serialize_survey_csv(data: SurveyDataset) -> str:
 
 def dataset_digest(data: SurveyDataset) -> str:
     """SHA-256 of the canonical CSV form; ties fitted models to their data."""
-    import hashlib  # here, not at the top: it loads OpenSSL, ~2–3 ms of a cold start
-    return hashlib.sha256(serialize_survey_csv(data).encode("utf-8")).hexdigest()
+    return sha256_hex(serialize_survey_csv(data).encode("utf-8"))

@@ -388,7 +388,7 @@ def test_interior_minimum_recommendation_writes_its_golden_bytes(capsys):
     assert capsys.readouterr().out.encode() == (interior / "recommend.stdout").read_bytes()
 
 
-def test_cli_import_does_not_load_numpy():
+def test_cli_import_does_not_load_numpy(tmp_path):
     import json
     import os
     import subprocess
@@ -398,16 +398,35 @@ def test_cli_import_does_not_load_numpy():
     import wnocpower
 
     src = str(Path(wnocpower.__file__).resolve().parent.parent)
-    # only what the import adds counts: a site hook may load any module before it
+    fits = [["fit", str(csv), "--block", kind, "--out", str(tmp_path / f"{kind}.json")]
+            for kind, csv in (("PA", BUNDLE.pa_csv), ("OSC", BUNDLE.oscillator_csv),
+                              ("MIXER", BUNDLE.mixer_csv))]
+    breakdown = ["breakdown", "--pa-model", str(tmp_path / "PA.json"),
+                 "--osc-model", str(tmp_path / "OSC.json"),
+                 "--mixer-model", str(tmp_path / "MIXER.json"), "--freq", "60",
+                 "--p-mixer-out", "-10", "--p-pa-out", "0", "--out-csv", str(tmp_path / "bd.csv")]
+    # only what the import, then the commands, add counts: a site hook may load any module
+    # before them
     code = ("import json, sys; before = set(sys.modules); import wnocpower.cli; "
-            "print(json.dumps(sorted(set(sys.modules) - before)))")
-    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+            "imported = set(sys.modules) - before; "
+            "codes = [wnocpower.cli.main(argv) for argv in json.loads(sys.argv[1])]; "
+            "print(json.dumps([codes, sorted(imported), sorted(set(sys.modules) - before)]))")
+    proc = subprocess.run([sys.executable, "-c", code, json.dumps([*fits, breakdown])],
+                          env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60, check=True)
-    added = set(json.loads(proc.stdout))
+    codes, added, run = json.loads(proc.stdout.splitlines()[-1])
+    added = set(added)
     assert "wnocpower.cli" in added
     assert "numpy" not in added
-    assert not added & {"hashlib", "_hashlib"}  # OpenSSL loads only when a digest is taken
+    assert not added & {"hashlib", "_hashlib"}
     assert not added & {"dataclasses", "inspect"}  # ~10 ms of a cold start, with what they load
+    # fitting digests the survey and each result's manifest digests its inputs, all without
+    # hashlib, which would load OpenSSL
+    assert codes == [EXIT_OK] * 4
+    assert sorted(p.name for p in tmp_path.glob("*.manifest.json")) == [
+        "MIXER.json.manifest.json", "OSC.json.manifest.json", "PA.json.manifest.json",
+        "bd.csv.manifest.json"]
+    assert not set(run) & {"hashlib", "_hashlib"}
 
 
 def test_no_wnocpower_class_is_a_dataclass():

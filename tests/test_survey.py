@@ -119,6 +119,21 @@ def test_parse_rejects_duplicate_triples():
                                    "(60.0, 22.5, 'a')")
 
 
+def test_parse_admits_each_record_once(monkeypatch):
+    # The reader applies the dataset rule to each row as it reads it, to name the row, and
+    # builds its dataset without a second pass; the result is the checked constructor's.
+    import wnocpower.survey as survey
+
+    admitted = []
+    admit = survey._admit
+    monkeypatch.setattr(survey, "_admit",
+                        lambda kind, r, seen: admitted.append(r.label) or admit(kind, r, seen))
+    ds = parse_survey_csv(HEADER + "PA,60,22.5,a\nPA,90,15,b\nPA,30,30,c\n")
+    assert admitted == ["a", "b", "c"]
+    monkeypatch.undo()
+    assert ds == SurveyDataset(BlockKind.PA, ds.records) and ds.kind is BlockKind.PA
+
+
 def test_dataset_construction_refuses_heterogeneous_kinds():
     records = (rec(60.0, 20.0, "a"), rec(90.0, 0.5, "b", BlockKind.OSCILLATOR))
     with pytest.raises(ValueError, match="^heterogeneous block kinds: dataset is PA, record 'b'"):
