@@ -104,8 +104,9 @@ class SweepResult(_Slotted):
     __slots__ = ("rows", "levels")
 
     def __init__(self, rows: tuple, levels: tuple) -> None:
+        rows = tuple(rows)
         _check_increasing(row[0] for row in rows)
-        self._set(rows, levels)
+        self._set(rows, tuple(levels))
 
     @property
     def entries(self) -> tuple[tuple[FrequencyGhz, PowerBreakdown], ...]:

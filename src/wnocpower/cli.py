@@ -80,22 +80,24 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(f"{self.prog}: {message}")
 
 
-def _write_result(path: Path, write, args: argparse.Namespace, inputs: Sequence[Path]) -> None:
+def _write_result(path: Path, write, args: argparse.Namespace) -> None:
     """Run ``write``, an atomic write of ``path``, then write its provenance manifest.
 
     The manifest, ``<path>.manifest.json``, accompanies every emitted
     result file. It records the command, its resolved parameters, the
-    SHA-256 of each input file as read before ``write`` runs, the tool
-    version, and a UTC timestamp to the second. A failed ``write`` leaves
-    the old result and its manifest as they were. A failed manifest write
-    removes the old manifest, so a result may lack one but no manifest
-    describes another file.
+    SHA-256 of each input file in ``args`` (a survey CSV or model JSONs)
+    as read before ``write`` runs, the tool version, and a UTC timestamp
+    to the second. A failed ``write`` leaves the old result and its
+    manifest as they were. A failed manifest write removes the old
+    manifest, so a result may lack one but no manifest describes another
+    file.
     """
+    inputs = map(vars(args).get, ("survey_csv", "pa_model", "osc_model", "mixer_model"))
     manifest = {
         "command": args.command,
         "parameters": {k: (str(v) if isinstance(v, Path) else v)
                        for k, v in vars(args).items() if k != "func" and v is not None},
-        "input_digests": {str(p): sha256_hex(p.read_bytes()) for p in inputs},
+        "input_digests": {str(p): sha256_hex(p.read_bytes()) for p in inputs if p is not None},
         "tool_version": __version__,
         "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
     }
@@ -113,7 +115,7 @@ def _write_result(path: Path, write, args: argparse.Namespace, inputs: Sequence[
 
 def _float_list(text: str) -> list[float]:
     try:
-        return [float(tok) for tok in text.split(",")] if text.strip() else []
+        return [float(tok) for tok in text.split(",")]
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated number list: {text!r}")
 
@@ -175,10 +177,6 @@ def _chain_config(args: argparse.Namespace, frequency: float, p_mixer_out: float
     )
 
 
-def _model_inputs(args: argparse.Namespace) -> list[Path]:
-    return [p for p in (args.pa_model, args.osc_model, args.mixer_model) if p is not None]
-
-
 # --- output formatting ----------------------------------------------------
 
 
@@ -215,8 +213,7 @@ def _cmd_fit(args: argparse.Namespace) -> int:
     block = BlockKind.from_token(args.block)
     data, model = fit_survey(args.survey_csv, block, strategy)
     digest = dataset_digest(data)
-    _write_result(args.out, lambda: save_model(args.out, block, model, digest),
-                  args, [args.survey_csv])
+    _write_result(args.out, lambda: save_model(args.out, block, model, digest), args)
 
     _hi, unit, _scale, _problem = _METRIC_RANGE[block]
     print(f"fitted {block.token} model from {args.survey_csv}")
@@ -242,7 +239,7 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
     for path, render in outputs:
         if path is not None:
             text = render()
-            _write_result(path, lambda: write_text_atomic(path, text), args, _model_inputs(args))
+            _write_result(path, lambda: write_text_atomic(path, text), args)
             print(f"wrote {path} and {path}.manifest.json")
     _warn_extrapolated(bd)  # after the writes: a failed write is the only stderr line
     if args.strict and bd.any_extrapolated:
@@ -252,22 +249,16 @@ def _cmd_breakdown(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     if args.freqs is not None:
-        if not args.freqs:
-            raise _UsageError("sweep: --freqs needs at least one frequency")
         grid = partial(iter, args.freqs)
         first, last, n = args.freqs[0], args.freqs[-1], len(args.freqs)
     else:
         grid = partial(frequency_grid, *args.range)
-        grid()  # checks the range and the grid size
         first, last, n = args.range
-    levels = [args.p_mixer_out] if args.levels is None else args.levels
-    if (args.levels is None) == (args.p_mixer_out is None) or not levels:
-        raise _UsageError("sweep: give exactly one of --p-mixer-out or --levels, "
-                          "with at least one level")
-    # The whole grid is checked before the first row: a chunk cannot see a repeat at
-    # its boundary, and a --range step below one ulp repeats a frequency. Every
-    # frequency is validated in the same pass, so it is reported before a model file
-    # is read or a bad level is.
+    levels = args.levels or [args.p_mixer_out]
+    # The whole grid, and a --range's ends and size, are checked before the first row: a
+    # chunk cannot see a repeat at its boundary, and a --range step below one ulp repeats a
+    # frequency. Every frequency is validated in the same pass, so it is reported before a
+    # model file is read or a bad level is.
     _check_increasing(FrequencyGhz(f).value for f in grid())
     pa, osc, mix = _load_chain_models(args)
     bases = [_chain_config(args, first, level) for level in levels]
@@ -285,8 +276,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
                 yield text if header else text[text.index("\n") + 1:]
                 header = False
 
-    _write_result(args.out, lambda: write_text_atomic(args.out, chunks()),
-                  args, _model_inputs(args))
+    _write_result(args.out, lambda: write_text_atomic(args.out, chunks()), args)
     levels_txt = ", ".join(f"{lv:g} dBm" for lv in levels)
     print(
         f"swept {n} frequencies from {first:g} to {last:g} GHz "
@@ -346,11 +336,12 @@ def _add_model_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--mixer-model", type=Path, required=True, help="fitted mixer model JSON")
 
 
-def _add_scenario_flags(p: argparse.ArgumentParser, mixer_out_required: bool = True) -> None:
+def _add_scenario_flags(p: argparse.ArgumentParser, level_source=None) -> None:
+    """The chain's levels; ``--p-mixer-out`` is required, or joins the ``level_source`` group."""
     p.add_argument("--p-if", type=float, default=-5.0,
                    help="mixer IF input power in dBm (default -5)")
-    p.add_argument("--p-mixer-out", type=float, required=mixer_out_required,
-                   help="mixer output power in dBm (doubles as PA input)")
+    (level_source or p).add_argument("--p-mixer-out", type=float, required=level_source is None,
+                                     help="mixer output power in dBm (doubles as PA input)")
     p.add_argument("--p-pa-out", type=float, default=None,
                    help="PA output power in dBm; omit it, or set it equal to "
                         "--p-mixer-out (zero gain), for a chain without a PA")
@@ -394,9 +385,11 @@ def build_parser() -> _Parser:
                       help="explicit comma-separated frequencies in GHz, strictly increasing")
     grid.add_argument("--range", type=_colon_spec(float, float, int), metavar="LO:HI:N",
                       help="uniform grid of N points from LO to HI GHz")
-    _add_scenario_flags(p, mixer_out_required=False)
-    p.add_argument("--levels", type=_float_list, default=None,
-                   help="repeat the sweep for each mixer output level (dBm, comma-separated)")
+    level_source = p.add_mutually_exclusive_group(required=True)
+    _add_scenario_flags(p, level_source)
+    level_source.add_argument("--levels", type=_float_list, default=None,
+                              help="repeat the sweep for each mixer output level "
+                                   "(dBm, comma-separated)")
     p.add_argument("--out", type=Path, required=True, help="output CSV path")
     p.add_argument("--strict", action="store_true",
                    help="exit with status 3 if any row had to extrapolate")

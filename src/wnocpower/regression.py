@@ -77,7 +77,8 @@ def r_squared(observed: Sequence[float], predicted: Sequence[float]) -> float:
     perfect fit, 0 for a fit no better than the mean, and negative for a
     worse one. Constant observations make the quantity undefined and
     raise :class:`ZeroVarianceError` rather than returning a number;
-    squared deviations past the float range raise a ``ValueError``.
+    squared deviations past the float range, or from an inf or nan input,
+    raise a ``ValueError``.
     """
     if len(observed) != len(predicted) or len(observed) == 0:
         raise ValueError("observed and predicted must have equal non-zero length")
@@ -87,6 +88,8 @@ def r_squared(observed: Sequence[float], predicted: Sequence[float]) -> float:
         if ss_tot == 0.0:
             raise ZeroVarianceError("observations have zero variance; R-squared undefined")
         ss_res = math.fsum((o - p) ** 2 for o, p in zip(observed, predicted))
+        if not (math.isfinite(ss_tot) and math.isfinite(ss_res)):
+            raise OverflowError
     except OverflowError:
         raise ValueError("squared deviations leave the float range; R-squared undefined") from None
     return 1.0 - ss_res / ss_tot

@@ -105,7 +105,7 @@ class SurveyDataset(_Slotted):
     __slots__ = ("kind", "records")
 
     def __init__(self, kind: BlockKind, records: tuple[SurveyRecord, ...]) -> None:
-        seen: set[tuple[float, float, str]] = set()
+        records, seen = tuple(records), set()
         for rec in records:
             _admit(kind, rec, seen)
         self._set(kind, records)

@@ -61,7 +61,8 @@ def test_fit_writes_model_and_manifest(tmp_path, capsys):
     assert len(doc["source_dataset_digest"]) == 64
     manifest = json.loads((tmp_path / "pa.json.manifest.json").read_text())
     assert manifest["command"] == "fit"
-    assert str(BUNDLE.pa_csv) in manifest["input_digests"]
+    assert manifest["input_digests"] == {
+        str(BUNDLE.pa_csv): hashlib.sha256(BUNDLE.pa_csv.read_bytes()).hexdigest()}
     assert manifest["tool_version"]
 
 
@@ -258,7 +259,17 @@ def test_sweep_needs_mixer_level_or_levels(models, tmp_path, capsys):
     code = main(["sweep", *model_flags(models), "--freqs", "30,60",
                  "--out", str(tmp_path / "s.csv")])
     assert code == EXIT_USAGE
-    assert "--p-mixer-out or --levels" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "wnocpower sweep: one of the arguments --p-mixer-out --levels is required\n")
+    assert list(tmp_path.glob("s.csv*")) == []
+
+
+def test_sweep_level_source_usage_error_comes_before_a_bad_range(models, tmp_path, capsys):
+    code = main(["sweep", *model_flags(models), "--range", "60:30:5",
+                 "--out", str(tmp_path / "s.csv")])
+    assert code == EXIT_USAGE
+    assert capsys.readouterr().err == (
+        "wnocpower sweep: one of the arguments --p-mixer-out --levels is required\n")
 
 
 def test_sweep_strict_flags_extrapolated_rows(models, tmp_path, capsys):
@@ -515,6 +526,17 @@ def test_manifest_records_exactly_its_five_keys_and_the_inputs_as_read(models, t
     capsys.readouterr()
 
 
+def test_sweep_manifest_records_its_three_model_files(models, tmp_path, capsys):
+    out = tmp_path / "s.csv"
+    assert main(["sweep", *model_flags(models), "--freqs", "30,60", "--levels", "-10,-5",
+                 "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+    assert manifest["command"] == "sweep"
+    assert manifest["input_digests"] == {
+        str(path): hashlib.sha256(path.read_bytes()).hexdigest() for path in models.values()}
+    capsys.readouterr()
+
+
 def test_sweep_out_through_symlink_keeps_link_and_updates_target(models, tmp_path, capsys):
     target = tmp_path / "runs" / "sweep-1.csv"
     target.parent.mkdir()
@@ -606,7 +628,8 @@ def test_sweep_with_empty_freqs_is_a_usage_error(models, tmp_path, capsys):
     code = main(["sweep", *model_flags(models), "--freqs=", "--p-mixer-out", "-5",
                  "--out", str(tmp_path / "s.csv")])
     assert code == EXIT_USAGE
-    assert "at least one frequency" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "wnocpower sweep: argument --freqs: not a comma-separated number list: ''\n")
     assert not (tmp_path / "s.csv").exists()
 
 
@@ -623,14 +646,16 @@ def test_a_comma_list_with_an_empty_field_is_a_usage_error(models, tmp_path, cap
     assert list(tmp_path.glob("s.csv*")) == []
 
 
-@pytest.mark.parametrize("levels", [["--p-mixer-out", "0", "--levels=-10"], ["--levels="]],
-                         ids=["both-level-flags", "empty-levels"])
-def test_sweep_needs_exactly_one_nonempty_level_source(models, tmp_path, capsys, levels):
+@pytest.mark.parametrize("levels, message", [
+    (["--p-mixer-out", "0", "--levels=-10"],
+     "argument --levels: not allowed with argument --p-mixer-out"),
+    (["--levels="], "argument --levels: not a comma-separated number list: ''"),
+], ids=["both-level-flags", "empty-levels"])
+def test_sweep_needs_exactly_one_nonempty_level_source(models, tmp_path, capsys, levels, message):
     out = tmp_path / "s.csv"
     code = main(["sweep", *model_flags(models), "--freqs", "30,60", *levels, "--out", str(out)])
     assert code == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert "--p-mixer-out or --levels" in err and len(err.splitlines()) == 1
+    assert capsys.readouterr().err == f"wnocpower sweep: {message}\n"
     assert list(tmp_path.glob("s.csv*")) == []
 
 

@@ -13,6 +13,7 @@ included. Records order by their fields within their class only.
 """
 
 import copy
+import gc
 import math
 import operator
 import pickle
@@ -192,11 +193,13 @@ def _frames(make, *args, **kwargs):
         if event == "call" and frame.f_code not in units:
             frames.append(frame.f_code)
 
+    gc.disable()  # a collection would run gc.callbacks (hypothesis registers one) in between
     sys.setprofile(profile)
     try:
         make(*args, **kwargs)
     finally:
         sys.setprofile(None)
+        gc.enable()
     return frames
 
 
@@ -364,3 +367,18 @@ def test_no_construction_path_skips_the_checks(good, change, message):
     for build in builds:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             build()
+
+
+
+@pytest.mark.parametrize("build, field, sequence", [
+    (lambda seq: SurveyDataset(BlockKind.PA, seq), "records", RECS),
+    (lambda seq: SweepResult(seq, LEVELS), "rows", ROWS),
+    (lambda seq: SweepResult(ROWS, seq), "levels", LEVELS),
+], ids=["SurveyDataset-records", "SweepResult-rows", "SweepResult-levels"])
+@pytest.mark.parametrize("convert", [iter, list])
+def test_a_sequence_field_keeps_the_tuple_that_was_checked(build, field, sequence, convert):
+    # an iterator would be used up by the check; a list would stay mutable and unhashable
+    built, expected = build(convert(sequence)), build(sequence)
+    assert type(getattr(built, field)) is tuple and getattr(built, field) == sequence
+    assert built == expected and hash(built) == hash(expected)
+    assert len(built) == len(expected) and list(built) == list(expected)

@@ -165,8 +165,10 @@ def test_r_squared_rejects_length_mismatch():
 
 
 def test_r_squared_past_the_float_range_is_a_value_error():
-    # (1e200 - mean)^2 overflows a float
-    for observed, predicted in (([1e200, 1.0], [1.0, 1.0]), ([1.0, 2.0], [1e200, 1.0])):
+    # (1e200 - mean)^2 overflows a float; an inf or nan input makes a sum inf or nan
+    for observed, predicted in (([1e200, 1.0], [1.0, 1.0]), ([1.0, 2.0], [1e200, 1.0]),
+                                ([math.inf, 1.0], [1.0, 1.0]), ([math.nan, 1.0], [1.0, 1.0]),
+                                ([1.0, 2.0], [math.inf, 1.0])):
         with pytest.raises(ValueError, match="^squared deviations leave the float range"):
             r_squared(observed, predicted)
 
