@@ -12,9 +12,10 @@ which ``blocks`` evaluates; this module only composes and searches. On
 top of single-point breakdowns it provides frequency sweeps, the exact
 minimum-power operating frequency (the total is a sum of positive
 exponentials, hence convex), and a per-frequency dominant-block report.
-Only ``chain_breakdown`` names a fault at a point: a sweep or a
-recommendation that fails reports what it says there, so the three
-commands name the same fault for the same inputs.
+Only ``chain_breakdown`` names a fault at a point (it checks the levels
+only once a block call has failed): a sweep or a recommendation that
+fails reports what it says there, so the three commands name the same
+fault for the same inputs.
 """
 
 from __future__ import annotations
@@ -166,18 +167,21 @@ def chain_breakdown(
 ) -> PowerBreakdown:
     """Evaluate the full chain at one operating point.
 
-    The PA stage is present exactly when ``cfg.p_pa_out`` is set; in that
-    case a PA model is required. This is the one place that names a fault
-    at a point, in this order: the levels and the PA model (``_terms``),
-    then the mixer, the oscillator and the PA at the frequency, then the
-    total. A single point goes through the public block functions; sweeps
-    and recommendations call the evaluator under them on the chain's terms.
+    The PA stage is present exactly when ``cfg.p_pa_out`` is set; in that case a PA model is
+    required. This is the one place that names a fault at a point, in this order: the levels
+    and the PA model (``_terms``, run only once a block call has failed), then the mixer, the
+    oscillator and the PA at the frequency, then the total. A single point goes through the
+    public block functions; sweeps and recommendations call the evaluator under them on the
+    chain's terms.
     """
-    _terms(pa, osc, mix, cfg)
-    mixer, mixer_ex = mixer_dc_power(mix, cfg.frequency, cfg.p_if_in, cfg.p_mixer_out)
-    osc_part, osc_ex = osc_dc_power(osc, cfg.frequency, cfg.p_osc_rf)
-    pa_part, pa_ex = (_NO_PA if cfg.p_pa_out is None
-                      else pa_dc_power(pa, cfg.frequency, cfg.p_mixer_out, cfg.p_pa_out))
+    try:
+        mixer, mixer_ex = mixer_dc_power(mix, cfg.frequency, cfg.p_if_in, cfg.p_mixer_out)
+        osc_part, osc_ex = osc_dc_power(osc, cfg.frequency, cfg.p_osc_rf)
+        pa_part, pa_ex = (_NO_PA if cfg.p_pa_out is None
+                          else pa_dc_power(pa, cfg.frequency, cfg.p_mixer_out, cfg.p_pa_out))
+    except (ValueError, AttributeError):  # the latter from pa_dc_power(None, ...)
+        _terms(pa, osc, mix, cfg)  # a level or PA-model fault comes first
+        raise
     row = _row(cfg.frequency.value, pa_part.value, osc_part.value, mixer.value,
                (pa_ex, osc_ex, mixer_ex))
     if row[4] == inf:  # every part is >= 0, so an overflowed power shows in the total

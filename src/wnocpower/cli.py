@@ -340,13 +340,14 @@ def _add_scenario_flags(p: argparse.ArgumentParser, level_source=None) -> None:
     """The chain's levels; ``--p-mixer-out`` is required, or joins the ``level_source`` group."""
     p.add_argument("--p-if", type=float, default=-5.0,
                    help="mixer IF input power in dBm (default -5)")
-    (level_source or p).add_argument("--p-mixer-out", type=float, required=level_source is None,
-                                     help="mixer output power in dBm (doubles as PA input)")
     p.add_argument("--p-pa-out", type=float, default=None,
                    help="PA output power in dBm; omit it, or set it equal to "
                         "--p-mixer-out (zero gain), for a chain without a PA")
     p.add_argument("--p-osc-rf", type=float, default=0.0,
                    help="oscillator RF output power in dBm (default 0)")
+    # last: argparse shows a group in the usage line only if its members were added in a row
+    (level_source or p).add_argument("--p-mixer-out", type=float, required=level_source is None,
+                                     help="mixer output power in dBm (doubles as PA input)")
 
 
 def build_parser() -> _Parser:

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -84,6 +85,35 @@ def test_breakdown_requires_pa_model_when_stage_present():
         chain_breakdown(None, osc, mix, cfg(pa_out=0.0))
 
 
+def counted_terms(monkeypatch):
+    """The kinds of the block terms built from here on, through either binding of ``_term``."""
+    import wnocpower.blocks as blocks
+
+    built = []
+    real = blocks._term
+
+    def counted(kind, fit, num):
+        built.append(kind)
+        return real(kind, fit, num)
+
+    monkeypatch.setattr(blocks, "_term", counted)
+    monkeypatch.setattr(chain_module, "_term", counted)
+    return built
+
+
+def test_a_point_builds_each_block_term_once(bundle_models, monkeypatch):
+    built = counted_terms(monkeypatch)
+    chain_breakdown(*bundle_models, cfg())
+    assert Counter(built) == {kind: 1 for kind in BlockKind}
+
+
+def test_a_recommendation_builds_each_block_term_twice(bundle_models, monkeypatch):
+    # once for the search and once for the breakdown at its answer
+    built = counted_terms(monkeypatch)
+    recommend_frequency(*bundle_models, cfg(), FrequencyGhz(20.0), FrequencyGhz(140.0))
+    assert Counter(built) == {kind: 2 for kind in BlockKind}
+
+
 def test_config_rejects_non_positive_pa_gain():
     with pytest.raises(ValueError, match="must exceed mixer output"):
         cfg(mixer_out=-5.0, pa_out=-5.0)
@@ -134,6 +164,24 @@ def test_extrapolation_flags_propagate_per_block():
     assert bd.extrapolated_blocks == (BlockKind.MIXER,)
 
 
+# Block models that are physical everywhere, and two sets with a FoM that is not at 100 GHz:
+# an oscillator efficiency 0.5 * exp(0.01 f), past 1 above ~69 GHz, and a mixer FoM
+# 0.1 * exp(-10 f), 0 there. A level or PA-model fault must still come first.
+FAULT_ORDER_MODELS = {
+    "physical": constant_models(),
+    "oscillator-unphysical": (PaModel(fit(50.0)), OscModel(fit(0.5, 0.01)), MixerModel(fit(0.1))),
+    "mixer-unphysical": (PaModel(fit(50.0)), OscModel(fit(0.5)), MixerModel(fit(0.1, -10.0))),
+}
+
+
+def every_chain_function(pa, osc, mix, base):
+    """Calls of the three chain functions at ``base``'s levels, each reaching 100 GHz."""
+    return [lambda: chain_breakdown(pa, osc, mix, base),
+            lambda: sweep(pa, osc, mix, base, [FrequencyGhz(30.0), FrequencyGhz(100.0)]),
+            lambda: recommend_frequency(pa, osc, mix, base, FrequencyGhz(20.0),
+                                        FrequencyGhz(140.0))]
+
+
 @pytest.mark.parametrize("field, dbm, message", [
     ("p_mixer_out", -4000.0, "-4000.0 dBm rounds to 0 mW"),
     ("p_mixer_out", 5000.0, "5000.0 dBm overflows a float in mW"),
@@ -144,16 +192,20 @@ def test_extrapolation_flags_propagate_per_block():
     ("p_pa_out", 5000.0, "5000.0 dBm overflows a float in mW"),
 ])
 def test_an_unrepresentable_level_is_named_by_every_chain_function(field, dbm, message):
-    pa, osc, mix = constant_models()
-    base = cfg(mixer_out=-5.0, pa_out=None)._replace(**{field: PowerDbm(dbm)})
-    calls = [lambda: chain_breakdown(pa, osc, mix, base),
-             lambda: sweep(pa, osc, mix, base, [FrequencyGhz(30.0), FrequencyGhz(60.0)]),
-             lambda: recommend_frequency(pa, osc, mix, base, FrequencyGhz(20.0),
-                                         FrequencyGhz(140.0))]
-    for call in calls:
+    base = cfg(freq=100.0, mixer_out=-5.0, pa_out=None)._replace(**{field: PowerDbm(dbm)})
+    for name, models in FAULT_ORDER_MODELS.items():
+        for call in every_chain_function(*models, base):
+            with pytest.raises(ValueError) as info:
+                call()
+            assert str(info.value) == message, name
+
+
+def test_a_missing_pa_model_is_named_before_an_unphysical_mixer():
+    _, osc, mix = FAULT_ORDER_MODELS["mixer-unphysical"]
+    for call in every_chain_function(None, osc, mix, cfg(freq=100.0, pa_out=0.0)):
         with pytest.raises(ValueError) as info:
             call()
-        assert str(info.value) == message
+        assert str(info.value) == "config requests a PA stage but no PA model was provided"
 
 
 # --- sweep ---------------------------------------------------------------------

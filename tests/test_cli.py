@@ -607,6 +607,12 @@ def test_p_pa_out_help_states_the_zero_gain_rule(capsys):
     assert "equal to --p-mixer-out" in " ".join(capsys.readouterr().out.split())
 
 
+def test_sweep_usage_shows_the_level_source_as_one_required_group(capsys):
+    assert main(["sweep", "--help"]) == EXIT_OK
+    usage = " ".join(capsys.readouterr().out.split())
+    assert "(--p-mixer-out P_MIXER_OUT | --levels LEVELS)" in usage
+
+
 @pytest.mark.parametrize("flag, shown", [("--help", "usage: wnocpower"),
                                          ("--version", f"wnocpower {__version__}")] + [
     (f"{sub} --help", f"usage: wnocpower {sub}")

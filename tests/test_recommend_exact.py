@@ -26,8 +26,9 @@ import random
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+import wnocpower.chain as chain_module
 from test_library_contract import chains, frequencies
 from wnocpower.blocks import MixerModel, OscModel, PaModel, _dcs
 from wnocpower.chain import (ChainConfig, NoAdmissiblePointError, _admissible_interval, _argmin,
@@ -208,18 +209,38 @@ def falling(terms, f):
 
 def bisected_argmin(terms, lo, hi):
     """The last float of the interval from ``lo`` where the total falls, by plain bisection
-    of the slope sign; ``lo`` if it does not fall there."""
+    of the slope sign, or ``lo`` if it does not fall there; and the bisection's step count."""
     if not (lo < hi and falling(terms, lo)):
-        return lo
+        return lo, 0
     if falling(terms, hi):
-        return hi
-    good, bad = lo, hi
+        return hi, 0
+    good, bad, steps = lo, hi, 0
     while (mid := good + (bad - good) / 2) not in (good, bad):
         good, bad = (mid, bad) if falling(terms, mid) else (good, mid)
-    return good
+        steps += 1
+    return good, steps
+
+
+def argmin_and_probes(terms, lo, hi):
+    """``_argmin(terms, lo, hi)`` and the number of slope probes it took."""
+    probes = 0
+    real = chain_module._slope
+
+    def counted(*args):
+        nonlocal probes
+        probes += 1
+        return real(*args)
+
+    chain_module._slope = counted
+    try:
+        return _argmin(terms, lo, hi), probes
+    finally:
+        chain_module._slope = real
 
 
 def test_slope_search_equals_a_plain_bisection():
+    # The search probes the midpoint once six probes have not halved its bracket, so after
+    # one probe at each end it should take at most six per step of the plain bisection.
     interior = 0
     for seed in range(400):
         fits, cfg, lo, hi, allow = random_case(seed)
@@ -228,16 +249,20 @@ def test_slope_search_equals_a_plain_bisection():
         f_lo, f_hi = _admissible_interval(terms, lo, hi, allow)
         if f_lo > f_hi:
             continue
-        f = _argmin(terms, f_lo, f_hi)
-        assert f == bisected_argmin(terms, f_lo, f_hi), f"seed {seed}"
+        f, probes = argmin_and_probes(terms, f_lo, f_hi)
+        bisected, steps = bisected_argmin(terms, f_lo, f_hi)
+        assert f == bisected, f"seed {seed}"
+        assert probes <= 6 * steps + 2, f"seed {seed}: {probes} probes, {steps} steps"
         interior += f_lo < f < f_hi
     assert interior >= 20, interior
 
 
 def assert_last_falling_float(terms, lo, hi):
     """``_argmin`` on [lo, hi] returns ``lo`` where the total does not fall there, else a float
-    where it falls that is ``hi`` or where it does not fall at the next float."""
-    f = _argmin(terms, lo, hi)
+    where it falls that is ``hi`` or where it does not fall at the next float, in at most
+    six slope probes per step of a plain bisection after one probe at each end."""
+    f, probes = argmin_and_probes(terms, lo, hi)
+    assert probes <= 6 * bisected_argmin(terms, lo, hi)[1] + 2
     assert lo <= f <= hi
     if f == lo and not (lo < hi and falling(terms, lo)):
         return "lo"
@@ -245,8 +270,17 @@ def assert_last_falling_float(terms, lo, hi):
     return "hi" if f == hi else "interior"
 
 
+# A rate of -1000/GHz beside +1000/GHz: with the guard's limit at twice the width six probes
+# back rather than half of it, the search took 654 probes for a 55-step bisection here.
+STEEP_CHAIN = (PaModel(fit(0.5, 1.0, (1.0, 2.0))),
+               OscModel(fit(1.066482423435341e27, -1000.0, (1.0, 2.0))),
+               MixerModel(fit(1.0, 1000.0, (1.0, 2.0))),
+               ChainConfig(FrequencyGhz(1.0), *map(PowerDbm, (0.0, 0.0, 9.0, 0.0))))
+
+
 @settings(max_examples=300, deadline=None)
 @given(chain=chains(), ends=st.lists(frequencies, min_size=2, max_size=2), allow=st.booleans())
+@example(chain=STEEP_CHAIN, ends=[1.0, 0.0625], allow=True)
 def test_slope_search_returns_the_last_float_where_the_total_falls(chain, ends, allow):
     pa, osc, mix, cfg = chain
     try:
