@@ -14,6 +14,7 @@ from wnocpower.blocks import (
     _admissible,
     _block_dc,
     _dcs,
+    _edge,
     _slope,
     _term,
     mixer_dc_power,
@@ -324,6 +325,57 @@ def test_admissible_cuts_one_ulp_past_a_good_end_that_the_closed_form_top_falls_
 def test_admissible_checks_no_frequency_twice(kind, a, b, span, ends, allow_extrapolation):
     _, seen = probed(_term(kind, fit(a, b, *span), 1.0), *ends, allow_extrapolation)
     assert len(seen) == len(set(seen)), seen
+
+
+def bisected_edge(ok, good, bad):
+    """The last point from ``good`` toward ``bad`` where ``ok`` holds, by plain bisection of
+    the whole bracket, and the bisection's step count."""
+    steps = 0
+    while (mid := good + (bad - good) / 2) not in (good, bad):
+        good, bad = (mid, bad) if ok(mid) else (good, mid)
+        steps += 1
+    return good, steps
+
+
+def edges_and_probes(term, lo, hi, allow_extrapolation):
+    """For each ``_edge`` call that ``_admissible`` makes: its answer, the number of ``ok``
+    probes it took, and ``bisected_edge`` on the same bracket."""
+    calls = []
+
+    def counted_edge(ok, good, bad, start):
+        probes = 0
+
+        def counted(f):
+            nonlocal probes
+            probes += 1
+            return ok(f)
+
+        edge = _edge(counted, good, bad, start)  # this module's name, not the patched one
+        calls.append((edge, probes, bisected_edge(ok, good, bad)))
+        return edge
+
+    with mock.patch("wnocpower.blocks._edge", counted_edge):
+        _admissible(term, lo, hi, allow_extrapolation)
+    return calls
+
+
+@settings(max_examples=500, deadline=None)
+@given(kind=st.sampled_from(list(BlockKind)), a=positive,
+       b=st.floats(allow_nan=False, allow_infinity=False), span=pairs, ends=pairs,
+       allow_extrapolation=st.booleans())
+# PAE 91.274 * exp(0.0116 * f) reaches 100 % at 7.871052966284444 GHz, seven floats short of
+# the last physical one: both start probes pass, and bisecting what is left of [6.8, 17.2]
+# takes 54 steps where the whole bracket takes 53.
+@example(kind=BlockKind.PA, a=91.274, b=0.0116, span=[1.0, 1000.0], ends=[6.8, 17.2],
+         allow_extrapolation=False)
+def test_edge_takes_at_most_three_probes_more_than_a_plain_bisection(kind, a, b, span, ends,
+                                                                     allow_extrapolation):
+    # The start and step probes come first, then a bisection of a narrower bracket, which on
+    # floats can take one step more than the whole bracket's.
+    for edge, probes, (bisected, steps) in edges_and_probes(
+            _term(kind, fit(a, b, *span), 1.0), *ends, allow_extrapolation):
+        assert edge == bisected
+        assert probes <= steps + 3, (probes, steps)
 
 
 # --- the column and slope loops ---------------------------------------------------

@@ -8,13 +8,13 @@ import pytest
 
 from wnocpower import __version__
 from wnocpower.cli import EXIT_DATA, EXIT_EXTRAPOLATION, EXIT_OK, EXIT_USAGE, main
-from wnocpower.exampledata import default_bundle
+from wnocpower.exampledata import EXAMPLES_DIR, default_bundle
 from wnocpower.regression import ExpFitModel, save_model
 from wnocpower.survey import BlockKind
 from wnocpower.units import FrequencyGhz
 
 BUNDLE = default_bundle()
-# The outputs of the README commands on the shipped surveys, as the CI step runs them.
+# The outputs of the README commands on the shipped surveys.
 GOLDEN = Path(__file__).parent / "data" / "bundle"
 # SHA-256 of multi-chunk, multi-level CLI sweeps on the golden models, each with its argv.
 SWEEP_DIGESTS = GOLDEN.parent / "sweep"
@@ -329,8 +329,9 @@ def test_validate_examples_passes(capsys):
 
 
 def test_validate_examples_writes_its_golden_bytes(capsys):
-    assert main(["validate-examples"]) == EXIT_OK
-    assert capsys.readouterr().out.encode() == (GOLDEN / "validate-examples.stdout").read_bytes()
+    for data_dir in ([], ["--data-dir", str(EXAMPLES_DIR)]):
+        assert main(["validate-examples", *data_dir]) == EXIT_OK
+        assert capsys.readouterr().out.encode() == (GOLDEN / "validate-examples.stdout").read_bytes()
 
 
 def test_validate_examples_missing_dir(tmp_path, capsys):
@@ -381,12 +382,26 @@ def test_readme_commands_write_the_golden_bundle_bytes(tmp_path, capsys, monkeyp
     assert main(["recommend", *models, "--range", "20:140", "--p-mixer-out", "-5",
                  "--p-pa-out", "0"]) == EXIT_OK
     (tmp_path / "recommend.stdout").write_bytes(capsys.readouterr().out.encode())
+    # a two-point grid still settles the answer to the float
+    assert main(["recommend", *models, "--range", "20:140", "--p-mixer-out", "-5",
+                 "--p-pa-out", "0", "--n-grid", "2"]) == EXIT_OK
+    assert capsys.readouterr().out.encode() == (GOLDEN / "recommend.stdout").read_bytes()
     assert main(["validate-examples"]) == EXIT_OK
     (tmp_path / "validate-examples.stdout").write_bytes(capsys.readouterr().out.encode())
     golden = sorted(GOLDEN.iterdir())
     assert len(golden) == 9
     for path in golden:
         assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+    # each result's manifest: its five keys, this version and the digest of each input as read
+    manifests = sorted(tmp_path.glob("*.manifest.json"))
+    assert len(manifests) == 6
+    for manifest in manifests:
+        doc = json.loads(manifest.read_text())
+        assert sorted(doc) == ["command", "input_digests", "parameters", "timestamp",
+                               "tool_version"], manifest.name
+        assert doc["tool_version"] == __version__
+        for path, digest in doc["input_digests"].items():
+            assert hashlib.sha256(Path(path).read_bytes()).hexdigest() == digest, manifest.name
 
 
 def test_interior_minimum_recommendation_writes_its_golden_bytes(capsys):
@@ -747,9 +762,13 @@ _OSC_ARGV = ["breakdown", "--osc-model", "INPUT", "--mixer-model", "INPUT", "--f
     (["fit", "INPUT", "--block", "PA", "--out", "m.json"], b"# only a comment\n\n",
      EXIT_DATA, "error: survey CSV has no header row"),
     (["fit", "INPUT", "--block", "PA", "--out", "m.json"], _SURVEY_HEADER + b"PA,60,20,\xff\n",
-     EXIT_DATA, "error: survey CSV is not valid UTF-8"),
+     EXIT_DATA, "error: survey CSV is not valid UTF-8: 'utf-8' codec can't decode byte 0xff in "
+                "position 42: invalid start byte"),
     (["fit", "INPUT", "--block", "PA", "--out", "m.json"], _SURVEY_HEADER + b"PA,60,20,  \n",
      EXIT_DATA, "error: row 2: record label must be non-empty"),
+    (["fit", "INPUT", "--block", "PA", "--out", "m.json"],
+     _SURVEY_HEADER + b"PA,60,22.5,a\nPA,90,15,b\nPA,60,22.5,a\n", EXIT_DATA,
+     "error: row 4: duplicate record (frequency, metric, label)=(60.0, 22.5, 'a')"),
     (["breakdown", "--osc-model", "INPUT", "--mixer-model", "INPUT", "--freq", "60",
       "--p-mixer-out", "-5"], b"[]", EXIT_DATA, "must be a JSON object"),
     (_OSC_ARGV, b"[]", EXIT_DATA, "error: INPUT: model document must be a JSON object"),
@@ -759,6 +778,8 @@ _OSC_ARGV = ["breakdown", "--osc-model", "INPUT", "--mixer-model", "INPUT", "--f
      "error: INPUT: model document is missing field 'a'"),
     (_OSC_ARGV, _OSC_MODEL.replace(b'"a": 0.4355771354849838', b'"a": -1.0'), EXIT_DATA,
      "error: INPUT: amplitude must be finite and > 0 (got -1.0)"),
+    (_OSC_ARGV, _OSC_MODEL.replace(b'"n_points": 12', b'"n_points": 2.9'), EXIT_DATA,
+     "error: INPUT: model document field 'n_points' is invalid: expected an integer, got 2.9"),
     (["sweep", *_NO_MODELS, "--freqs", "30", "--levels", "-1e1,x", "--out", "s.csv"], None,
      EXIT_USAGE, "argument --levels: not a comma-separated number list: '-1e1,x'"),
     (["breakdown", *_NO_MODELS, "--freq", "60", "--p-mixer-out", "-5", "--strict", "-1e1"], None,
@@ -768,8 +789,9 @@ _OSC_ARGV = ["breakdown", "--osc-model", "INPUT", "--mixer-model", "INPUT", "--f
      _SURVEY_HEADER + b"PA,60,20,a\nPA,90,10,b\n", EXIT_DATA,
      "error: [Errno 2] No such file or directory: 'missing/m.json'"),
 ], ids=["levels-not-numbers", "range-not-numbers", "bins-without-binned-max", "empty-survey",
-        "comments-only-survey", "non-utf8-survey", "blank-label", "model-json-list",
-        "model-json-list-at-1e1-dbm", "model-not-utf8", "model-without-a", "model-with-negative-a",
+        "comments-only-survey", "non-utf8-survey", "blank-label", "repeated-survey-row",
+        "model-json-list", "model-json-list-at-1e1-dbm", "model-not-utf8", "model-without-a",
+        "model-with-negative-a", "model-with-fractional-n-points",
         "levels-from-1e1-not-numbers", "flag-given-1e1", "version-given-1e1",
         "model-out-in-missing-dir"])
 def test_bad_input_is_one_line_with_its_exit_code(tmp_path, monkeypatch, capsys, argv, data, code,
@@ -780,6 +802,7 @@ def test_bad_input_is_one_line_with_its_exit_code(tmp_path, monkeypatch, capsys,
     assert main(argv) == code
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1 and needle in lines[0]
+    assert lines[0] == needle or not needle.startswith("error: ")  # then it is the whole line
     assert sorted(p.name for p in tmp_path.iterdir()) == ([] if data is None else ["INPUT"])
 
 
