@@ -23,6 +23,7 @@ only. The column loop (dense-sweep benchmark) and the per-probe loop
 from __future__ import annotations
 
 from collections import namedtuple
+from functools import partial
 from math import exp, inf, log, nextafter
 from typing import Sequence
 
@@ -108,6 +109,11 @@ def _slope(terms: Sequence[tuple], f: float) -> tuple[float, float]:
     return sum(parts), sum(curvature)
 
 
+def _physical(a: float, b: float, fom_hi: float, f: float) -> bool:
+    """Whether the FoM a * exp(b * f) is in (0, fom_hi], the range check of ``_block_dc``."""
+    return 0.0 < (fom := _fom(a, b, f)) < inf and fom <= fom_hi
+
+
 def _admissible(term: _Term, lo: float, hi: float, allow_extrapolation: bool) -> tuple:
     """[lo, hi] narrowed to the term's validity span, unless ``allow_extrapolation``, and to
     where its figure of merit is physical; (inf, -inf) if that is nowhere.
@@ -119,19 +125,15 @@ def _admissible(term: _Term, lo: float, hi: float, allow_extrapolation: bool) ->
     the closed-form f where the FoM reaches its top, or one ulp past ``good`` where that f
     rounds short of it."""
     a, b, _num, _scale, fom_hi, _kind, fit = term  # b == 0 passes both ends or neither
-
-    def ok(f: float) -> bool:  # the range check of _block_dc
-        fom = _fom(a, b, f)
-        return 0.0 < fom < inf and fom <= fom_hi
-
     if not allow_extrapolation:
         lo, hi = max(lo, fit.valid_lo.value), min(hi, fit.valid_hi.value)
     if lo > hi:
         return inf, -inf
-    ok_lo = ok(lo)
-    ok_hi = ok_lo if lo == hi else ok(hi)
+    ok_lo = _physical(a, b, fom_hi, lo)
+    ok_hi = ok_lo if lo == hi else _physical(a, b, fom_hi, hi)
     if ok_lo and ok_hi:
         return lo, hi
+    ok = partial(_physical, a, b, fom_hi)
     if ok_lo or ok_hi:
         good = lo if ok_lo else hi
     elif not (b and lo < (good := log(fom_hi / 2 / a) / b) < hi and ok(good)):

@@ -126,8 +126,8 @@ def _check_increasing(frequencies: Iterable[float]) -> None:
         raise ValueError("sweep frequencies must be strictly increasing")
 
 
-def frequency_grid(lo: float, hi: float, n: int) -> Iterator[float]:
-    """``n`` uniformly spaced frequencies from lo to hi GHz, both ends exact."""
+def _check_grid(lo: float, hi: float, n: int) -> None:
+    """Raise unless ``frequency_grid`` takes lo, hi and n: finite lo < hi, 2 <= n <= 2**53."""
     for end in (lo, hi):  # a nan end would pass the order check, an inf one make a nan step
         if not isfinite(end):
             raise ValueError(f"frequency range ends must be finite (got {end} GHz)")
@@ -135,6 +135,13 @@ def frequency_grid(lo: float, hi: float, n: int) -> Iterator[float]:
         raise ValueError(f"inverted frequency range [{lo}, {hi}] GHz")
     if n < 2:
         raise ValueError(f"frequency grid needs >= 2 points (got {n})")
+    if n > 2**53:  # up to 2**53, n - 1 is exact as a float and the step is finite
+        raise ValueError(f"frequency grid needs <= 2**53 points (got {n})")
+
+
+def frequency_grid(lo: float, hi: float, n: int) -> Iterator[float]:
+    """``n`` uniformly spaced frequencies from lo to hi GHz, both ends exact."""
+    _check_grid(lo, hi, n)
     step = (hi - lo) / (n - 1)
     return (hi if i == n - 1 else lo + i * step for i in range(n))
 
@@ -142,14 +149,15 @@ def frequency_grid(lo: float, hi: float, n: int) -> Iterator[float]:
 def _terms(pa: PaModel | None, osc: OscModel, mix: MixerModel, cfg: ChainConfig) -> tuple:
     """The chain's block terms (see ``blocks._Term``) at ``cfg``'s levels: mixer,
     oscillator, then the PA if ``cfg`` has one."""
-    num_osc = _dbm_mw(cfg.p_osc_rf.value)  # a bad oscillator level is reported first
-    terms = (_term(mix.kind, mix.fom_fit, _mixer_numerator(cfg.p_if_in, cfg.p_mixer_out)),
+    _f, p_mixer_out, p_if_in, p_pa_out, p_osc_rf = cfg
+    num_osc = _dbm_mw(p_osc_rf.value)  # a bad oscillator level is reported first
+    terms = (_term(mix.kind, mix.fom_fit, _mixer_numerator(p_if_in, p_mixer_out)),
              _term(osc.kind, osc.eff_fit, num_osc))
-    if cfg.p_pa_out is None:
+    if p_pa_out is None:
         return terms
     if pa is None:
         raise ValueError("config requests a PA stage but no PA model was provided")
-    return terms + (_term(pa.kind, pa.pae_fit, _pa_numerator(cfg.p_mixer_out, cfg.p_pa_out)),)
+    return terms + (_term(pa.kind, pa.pae_fit, _pa_numerator(p_mixer_out, p_pa_out)),)
 
 
 def _row(f: float, pa_mw: float, osc_mw: float, mixer_mw: float, flags: tuple) -> tuple:
@@ -170,20 +178,20 @@ def chain_breakdown(
     The PA stage is present exactly when ``cfg.p_pa_out`` is set; in that case a PA model is
     required. This is the one place that names a fault at a point, in this order: the levels
     and the PA model (``_terms``, run only once a block call has failed), then the mixer, the
-    oscillator and the PA at the frequency, then the total. A single point goes through the
-    public block functions; sweeps and recommendations call the evaluator under them on the
-    chain's terms.
+    oscillator and the PA at the frequency, then the total. A point goes through the public
+    block functions, and so does a recommendation's answer, built here rather than from the
+    terms its search read through ``blocks._slope``: ``benchmarks/tracing.py`` reads this
+    call's span and the block spans under it. A sweep evaluates the terms over a column.
     """
+    f, p_mixer_out, p_if_in, p_pa_out, p_osc_rf = cfg
     try:
-        mixer, mixer_ex = mixer_dc_power(mix, cfg.frequency, cfg.p_if_in, cfg.p_mixer_out)
-        osc_part, osc_ex = osc_dc_power(osc, cfg.frequency, cfg.p_osc_rf)
-        pa_part, pa_ex = (_NO_PA if cfg.p_pa_out is None
-                          else pa_dc_power(pa, cfg.frequency, cfg.p_mixer_out, cfg.p_pa_out))
+        mixer, mixer_ex = mixer_dc_power(mix, f, p_if_in, p_mixer_out)
+        osc_part, osc_ex = osc_dc_power(osc, f, p_osc_rf)
+        pa_part, pa_ex = _NO_PA if p_pa_out is None else pa_dc_power(pa, f, p_mixer_out, p_pa_out)
     except (ValueError, AttributeError):  # the latter from pa_dc_power(None, ...)
         _terms(pa, osc, mix, cfg)  # a level or PA-model fault comes first
         raise
-    row = _row(cfg.frequency.value, pa_part.value, osc_part.value, mixer.value,
-               (pa_ex, osc_ex, mixer_ex))
+    row = _row(f.value, pa_part.value, osc_part.value, mixer.value, (pa_ex, osc_ex, mixer_ex))
     if row[4] == inf:  # every part is >= 0, so an overflowed power shows in the total
         raise ValueError(f"total draw at {row[0]} GHz: power in mW must be finite (got inf)")
     return PowerBreakdown(row, cfg[1:])
@@ -242,10 +250,10 @@ def recommend_frequency(
     set, where every figure of merit is physical. A bracketed Newton
     iteration on the slope of the total over that interval (``_argmin``)
     finds the minimum to the float. Exact ties, where every rate is 0, go
-    to the lower end. ``n_grid`` is checked (>= 2) and does not change the
-    answer.
+    to the lower end. ``n_grid`` is checked as ``frequency_grid`` checks it
+    (2 to 2**53) and does not change the answer.
     """
-    frequency_grid(lo.value, hi.value, n_grid)  # checks the range and the grid size
+    _check_grid(lo.value, hi.value, n_grid)
     terms = _terms(pa, osc, mix, base_cfg)
     f_lo, f_hi = _admissible_interval(terms, lo.value, hi.value, allow_extrapolation)
     if f_lo > f_hi:

@@ -75,9 +75,12 @@ class PowerDbm(_record("PowerDbm", "value")):
     __slots__ = ()
 
     def __new__(cls, value: float):
-        if not math.isfinite(value):
-            raise ValueError(f"power in dBm must be finite (got {value})")
-        return tuple.__new__(cls, (value,))
+        try:
+            if math.isfinite(value):
+                return tuple.__new__(cls, (value,))
+        except OverflowError:  # an int past the float range
+            pass
+        raise ValueError(f"power in dBm must be finite (got {value})")
 
 
 class PowerMilliwatt(_record("PowerMilliwatt", "value")):
@@ -87,9 +90,12 @@ class PowerMilliwatt(_record("PowerMilliwatt", "value")):
     __slots__ = ()
 
     def __new__(cls, value: float):
-        if not math.isfinite(value) or value < 0.0:
-            raise ValueError(f"power in mW must be finite and >= 0 (got {value})")
-        return tuple.__new__(cls, (value,))
+        try:
+            if math.isfinite(value) and value >= 0.0:
+                return tuple.__new__(cls, (value,))
+        except OverflowError:  # an int past the float range
+            pass
+        raise ValueError(f"power in mW must be finite and >= 0 (got {value})")
 
 
 class FrequencyGhz(_record("FrequencyGhz", "value")):
@@ -98,9 +104,12 @@ class FrequencyGhz(_record("FrequencyGhz", "value")):
     __slots__ = ()
 
     def __new__(cls, value: float):
-        if not math.isfinite(value) or value <= 0.0:
-            raise ValueError(f"frequency in GHz must be finite and > 0 (got {value})")
-        return tuple.__new__(cls, (value,))
+        try:
+            if math.isfinite(value) and value > 0.0:
+                return tuple.__new__(cls, (value,))
+        except OverflowError:  # an int past the float range
+            pass
+        raise ValueError(f"frequency in GHz must be finite and > 0 (got {value})")
 
 
 def _dbm_mw(dbm: float) -> float:

@@ -5,7 +5,7 @@ import sys
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wnocpower.blocks import (
     MixerModel,
@@ -297,6 +297,28 @@ def probed(term, lo, hi, allow_extrapolation):
 
     with mock.patch("wnocpower.blocks._fom", fom):
         return _admissible(term, lo, hi, allow_extrapolation), seen
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(list(BlockKind)), share=st.floats(1e-6, 0.99), b=st.floats(-0.01, 0.01),
+       span=st.lists(st.floats(1.0, 1000.0), min_size=2, max_size=2, unique=True).map(sorted),
+       ends=st.lists(st.floats(1.0, 1000.0), min_size=2, max_size=2).map(sorted),
+       allow_extrapolation=st.booleans())
+@example(kind=BlockKind.PA, share=0.5, b=0.0, span=[1.0, 1000.0], ends=[60.0, 60.0],
+         allow_extrapolation=False)
+def test_admissible_settles_two_physical_ends_by_probing_only_them(kind, share, b, span, ends,
+                                                                   allow_extrapolation):
+    lo, hi = ends if allow_extrapolation else (max(ends[0], span[0]), min(ends[1], span[1]))
+    assume(lo <= hi)
+    # The FoM peaks at one end of [lo, hi], at ``share`` of the block's top (of 100 for the
+    # mixer, whose top is inf), so both ends are physical.
+    a = share * min(TOP[kind], 100.0) / max(math.exp(b * lo), math.exp(b * hi))
+    assert physical(kind, a, b, lo) and physical(kind, a, b, hi)
+    with mock.patch("wnocpower.blocks._edge") as edge:
+        got, seen = probed(_term(kind, fit(a, b, *span), 1.0), *ends, allow_extrapolation)
+    assert got == (lo, hi)
+    assert seen == ([lo] if lo == hi else [lo, hi])
+    edge.assert_not_called()
 
 
 def test_admissible_cuts_a_pae_past_100_percent_from_its_closed_form_bound():

@@ -344,6 +344,10 @@ def test_recommend_validates_arguments():
         recommend_frequency(pa, osc, mix, cfg(), FrequencyGhz(100.0), FrequencyGhz(10.0))
     with pytest.raises(ValueError, match=">= 2 points"):
         recommend_frequency(pa, osc, mix, cfg(), FrequencyGhz(10.0), FrequencyGhz(100.0), n_grid=1)
+    with pytest.raises(ValueError, match=r"<= 2\*\*53 points"):
+        recommend_frequency(pa, osc, mix, cfg(), FrequencyGhz(10.0), FrequencyGhz(100.0),
+                            n_grid=2**53 + 1)
+    recommend_frequency(pa, osc, mix, cfg(), FrequencyGhz(10.0), FrequencyGhz(100.0), n_grid=2**53)
 
 
 def test_recommend_finds_a_physical_band_narrower_than_half_the_range():

@@ -744,6 +744,7 @@ def test_total_past_the_float_range_is_a_one_line_data_error(tmp_path, monkeypat
 
 
 _NO_MODELS = ["--osc-model", "osc.json", "--mixer-model", "mix.json"]
+_HUGE = "1" + "0" * 400  # a grid size past the float range
 _SURVEY_HEADER = b"block,frequency_ghz,metric,label\n"
 _OSC_MODEL = (GOLDEN / "osc.json").read_bytes()
 _OSC_ARGV = ["breakdown", "--osc-model", "INPUT", "--mixer-model", "INPUT", "--freq", "60",
@@ -788,12 +789,18 @@ _OSC_ARGV = ["breakdown", "--osc-model", "INPUT", "--mixer-model", "INPUT", "--f
     (["fit", "INPUT", "--block", "PA", "--out", "missing/m.json"],
      _SURVEY_HEADER + b"PA,60,20,a\nPA,90,10,b\n", EXIT_DATA,
      "error: [Errno 2] No such file or directory: 'missing/m.json'"),
+    (["sweep", *_NO_MODELS, "--range", f"20:30:{_HUGE}", "--p-mixer-out", "-5", "--out", "s.csv"],
+     None, EXIT_DATA, f"error: frequency grid needs <= 2**53 points (got {_HUGE})"),
+    (["recommend", "--osc-model", str(GOLDEN / "osc.json"), "--mixer-model",
+      str(GOLDEN / "mix.json"), "--range", "20:140", "--p-mixer-out", "-5", "--n-grid", _HUGE],
+     None, EXIT_DATA, f"error: frequency grid needs <= 2**53 points (got {_HUGE})"),
 ], ids=["levels-not-numbers", "range-not-numbers", "bins-without-binned-max", "empty-survey",
         "comments-only-survey", "non-utf8-survey", "blank-label", "repeated-survey-row",
         "model-json-list", "model-json-list-at-1e1-dbm", "model-not-utf8", "model-without-a",
         "model-with-negative-a", "model-with-fractional-n-points",
         "levels-from-1e1-not-numbers", "flag-given-1e1", "version-given-1e1",
-        "model-out-in-missing-dir"])
+        "model-out-in-missing-dir", "sweep-grid-past-the-float-range",
+        "recommend-grid-past-the-float-range"])
 def test_bad_input_is_one_line_with_its_exit_code(tmp_path, monkeypatch, capsys, argv, data, code,
                                                   needle):
     monkeypatch.chdir(tmp_path)

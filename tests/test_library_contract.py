@@ -4,8 +4,9 @@ Whatever it is given, each public entry point below returns or raises a
 ``ValueError`` subclass, never another exception: the survey reader on
 text and bytes (byte-order marks, CR, NUL and stray quotes included),
 the model reader on any JSON value, the exponential fit on any finite
-positive points, the binned-max strategy on any bin count, and the chain
-(breakdown, sweep with its dominance report, recommendation) on any
+positive points, the binned-max strategy on any bin count, the unit
+types on any int or float, and the chain (breakdown, sweep with its
+dominance report, recommendation with any integer grid size) on any
 valid fits and levels. The recommendation's slope search, which checks no
 figure of merit itself, probes only points where every one is physical.
 """
@@ -23,7 +24,7 @@ from wnocpower.exampledata import fit_bundle
 from wnocpower.regression import (ExpFitModel, _fom, fit_exponential, model_from_dict,
                                   model_to_dict)
 from wnocpower.survey import BinnedMax, parse_survey_csv
-from wnocpower.units import FrequencyGhz, PowerDbm
+from wnocpower.units import FrequencyGhz, PowerDbm, PowerMilliwatt
 
 HEADER = "block,frequency_ghz,metric,label,technology_node,notes"
 SURVEY_TOKENS = st.sampled_from(list('\ufeff\r\n\x00",#.-+e ab0123456789')
@@ -83,6 +84,14 @@ def test_binned_max_keeps_the_contract(bins):
     keeps_the_contract(BinnedMax, bins)
 
 
+# Ints past the float range included, which math.isfinite cannot convert.
+@settings(max_examples=300, deadline=None)
+@given(unit=st.sampled_from([PowerDbm, PowerMilliwatt, FrequencyGhz]),
+       value=st.integers() | st.floats() | st.sampled_from([10**400, -10**400, 2**1024]))
+def test_unit_types_keep_the_contract(unit, value):
+    keeps_the_contract(unit, value)
+
+
 # Frequencies and amplitudes over the whole positive float range, subnormals included.
 frequencies = st.one_of(st.floats(0.5, 400.0), st.floats(5e-324, 1.7e308))
 levels = st.floats(-400.0, 400.0)
@@ -111,14 +120,16 @@ def chains(draw):
 
 @settings(max_examples=300, deadline=None)
 @given(chain=chains(), grid=st.lists(frequencies, min_size=1, max_size=8, unique=True),
-       ends=st.lists(frequencies, min_size=2, max_size=2), allow=st.booleans())
-def test_chain_keeps_the_contract(chain, grid, ends, allow):
+       ends=st.lists(frequencies, min_size=2, max_size=2), allow=st.booleans(),
+       n_grid=st.integers() | st.sampled_from([2**53, 2**53 + 1, 10**400]))
+def test_chain_keeps_the_contract(chain, grid, ends, allow, n_grid):
     pa, osc, mix, cfg = chain
     keeps_the_contract(chain_breakdown, pa, osc, mix, cfg)
     keeps_the_contract(lambda: dominance_report(
         sweep(pa, osc, mix, cfg, [FrequencyGhz(f) for f in sorted(grid)])))
-    keeps_the_contract(recommend_frequency, pa, osc, mix, cfg, FrequencyGhz(ends[0]),
-                       FrequencyGhz(ends[1]), 2, allow)
+    for n in (2, n_grid):
+        keeps_the_contract(recommend_frequency, pa, osc, mix, cfg, FrequencyGhz(ends[0]),
+                           FrequencyGhz(ends[1]), n, allow)
 
 
 def slope_probes(pa, osc, mix, cfg, lo, hi, allow):
