@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import partial
-from math import exp, inf, log, nextafter
+from math import exp, inf, log
 from typing import Sequence
 
 from .regression import ExpFitModel, _fom
@@ -121,9 +121,7 @@ def _admissible(term: _Term, lo: float, hi: float, allow_extrapolation: bool) ->
     FoM(f) = a * exp(b * f) is monotone, so that is one interval, and the range check of the
     evaluator settles each end of it to the float, at no point twice. An end that is not
     physical is cut back from one that is or, if neither is, from the closed-form f where
-    the FoM is half its top, which then lies inside. The cut toward the rising FoM starts at
-    the closed-form f where the FoM reaches its top, or one ulp past ``good`` where that f
-    rounds short of it."""
+    the FoM is half its top, which then lies inside."""
     a, b, _num, _scale, fom_hi, _kind, fit = term  # b == 0 passes both ends or neither
     if not allow_extrapolation:
         lo, hi = max(lo, fit.valid_lo.value), min(hi, fit.valid_hi.value)
@@ -138,22 +136,13 @@ def _admissible(term: _Term, lo: float, hi: float, allow_extrapolation: bool) ->
         good = lo if ok_lo else hi
     elif not (b and lo < (good := log(fom_hi / 2 / a) / b) < hi and ok(good)):
         return inf, -inf
-    top = log(fom_hi / a) / b
-    top = max(top, nextafter(good, inf)) if b > 0 else min(top, nextafter(good, -inf))
-    return (lo if ok_lo else _edge(ok, good, lo, top)), (hi if ok_hi else _edge(ok, good, hi, top))
+    return (lo if ok_lo else _edge(ok, good, lo)), (hi if ok_hi else _edge(ok, good, hi))
 
 
-def _edge(ok, good: float, bad: float, start: float) -> float:
-    """The last point from ``good`` toward ``bad`` where ``ok`` holds.
-
-    ``ok(good)`` holds, ``ok(bad)`` does not, and ``ok`` holds on an interval. ``start``, if
-    it is between the two, is probed first and the float next to it toward the other end
-    second; bisection settles the rest. Each probe is strictly between the last two."""
-    if min(good, bad) < start < max(good, bad):
-        good, bad = (start, bad) if ok(start) else (good, start)
-        step = nextafter(start, bad if start == good else good)
-        if step not in (good, bad):
-            good, bad = (step, bad) if ok(step) else (good, step)
+def _edge(ok, good: float, bad: float) -> float:
+    """The last point from ``good`` toward ``bad`` where ``ok`` holds, by bisection: ``ok(good)``
+    holds, ``ok(bad)`` does not, ``ok`` holds on an interval, and each probe is the midpoint of
+    the last two, strictly between them."""
     while (mid := good + (bad - good) / 2) not in (good, bad):
         good, bad = (mid, bad) if ok(mid) else (good, mid)
     return good

@@ -99,7 +99,7 @@ def _write_result(path: Path, write, args: argparse.Namespace) -> None:
                        for k, v in vars(args).items() if k != "func" and v is not None},
         "input_digests": {str(p): sha256_hex(p.read_bytes()) for p in inputs if p is not None},
         "tool_version": __version__,
-        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime()),
+        "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S+00:00", time.gmtime(time.time())),
     }
     write()
     sidecar = Path(f"{path}.manifest.json")

@@ -321,11 +321,28 @@ def test_admissible_settles_two_physical_ends_by_probing_only_them(kind, share, 
     edge.assert_not_called()
 
 
+def bisected_edge(ok, good, bad):
+    """The last point from ``good`` toward ``bad`` where ``ok`` holds, by plain bisection of
+    the whole bracket, and the bisection's step count."""
+    steps = 0
+    while (mid := good + (bad - good) / 2) not in (good, bad):
+        good, bad = (mid, bad) if ok(mid) else (good, mid)
+        steps += 1
+    return good, steps
+
+
+def bisection_steps(kind, a, b, good, bad):
+    """The step count of a plain bisection of [good, bad] for the block's range check."""
+    return bisected_edge(lambda f: physical(kind, a, b, f), good, bad)[1]
+
+
 def test_admissible_cuts_a_pae_past_100_percent_from_its_closed_form_bound():
     hot = _term(BlockKind.PA, fit(1000.0, -0.02, 0.9, 309.3), 1.0)  # 100 % near 115.13 GHz
     edge = math.nextafter(math.log(100.0 / 1000.0) / -0.02, math.inf)
     got, seen = probed(hot, 1.0, 140.0, False)
-    assert got == (edge, 140.0) and len(seen) == len(set(seen)) == 4
+    # the two ends, then a bisection from the physical 140 GHz toward 1 GHz
+    steps = bisection_steps(BlockKind.PA, 1000.0, -0.02, 140.0, 1.0)
+    assert got == (edge, 140.0) and len(seen) == len(set(seen)) == 2 + steps
 
 
 @pytest.mark.parametrize("a, b, ends, edge", [
@@ -337,7 +354,9 @@ def test_admissible_cuts_a_pae_past_100_percent_from_its_closed_form_bound():
 def test_admissible_cuts_one_ulp_past_a_good_end_that_the_closed_form_top_falls_short_of(
         a, b, ends, edge):
     got, seen = probed(_term(BlockKind.OSCILLATOR, fit(a, b), 1.0), *ends, False)
-    assert got == (edge, edge) and len(seen) == len(set(seen)) <= 4
+    good, bad = ends if edge == ends[0] else ends[::-1]
+    steps = bisection_steps(BlockKind.OSCILLATOR, a, b, good, bad)
+    assert got == (edge, edge) and len(seen) == len(set(seen)) == 2 + steps
 
 
 @settings(max_examples=500, deadline=None)
@@ -349,22 +368,12 @@ def test_admissible_checks_no_frequency_twice(kind, a, b, span, ends, allow_extr
     assert len(seen) == len(set(seen)), seen
 
 
-def bisected_edge(ok, good, bad):
-    """The last point from ``good`` toward ``bad`` where ``ok`` holds, by plain bisection of
-    the whole bracket, and the bisection's step count."""
-    steps = 0
-    while (mid := good + (bad - good) / 2) not in (good, bad):
-        good, bad = (mid, bad) if ok(mid) else (good, mid)
-        steps += 1
-    return good, steps
-
-
 def edges_and_probes(term, lo, hi, allow_extrapolation):
     """For each ``_edge`` call that ``_admissible`` makes: its answer, the number of ``ok``
     probes it took, and ``bisected_edge`` on the same bracket."""
     calls = []
 
-    def counted_edge(ok, good, bad, start):
+    def counted_edge(ok, good, bad):
         probes = 0
 
         def counted(f):
@@ -372,7 +381,7 @@ def edges_and_probes(term, lo, hi, allow_extrapolation):
             probes += 1
             return ok(f)
 
-        edge = _edge(counted, good, bad, start)  # this module's name, not the patched one
+        edge = _edge(counted, good, bad)  # this module's name, not the patched one
         calls.append((edge, probes, bisected_edge(ok, good, bad)))
         return edge
 
@@ -386,18 +395,14 @@ def edges_and_probes(term, lo, hi, allow_extrapolation):
        b=st.floats(allow_nan=False, allow_infinity=False), span=pairs, ends=pairs,
        allow_extrapolation=st.booleans())
 # PAE 91.274 * exp(0.0116 * f) reaches 100 % at 7.871052966284444 GHz, seven floats short of
-# the last physical one: both start probes pass, and bisecting what is left of [6.8, 17.2]
-# takes 54 steps where the whole bracket takes 53.
+# the last physical one: a bisection of [6.8, 17.2] settles it in 53 steps.
 @example(kind=BlockKind.PA, a=91.274, b=0.0116, span=[1.0, 1000.0], ends=[6.8, 17.2],
          allow_extrapolation=False)
-def test_edge_takes_at_most_three_probes_more_than_a_plain_bisection(kind, a, b, span, ends,
-                                                                     allow_extrapolation):
-    # The start and step probes come first, then a bisection of a narrower bracket, which on
-    # floats can take one step more than the whole bracket's.
+def test_edge_is_a_plain_bisection_probe_for_probe(kind, a, b, span, ends, allow_extrapolation):
     for edge, probes, (bisected, steps) in edges_and_probes(
             _term(kind, fit(a, b, *span), 1.0), *ends, allow_extrapolation):
         assert edge == bisected
-        assert probes <= steps + 3, (probes, steps)
+        assert probes == steps, (probes, steps)
 
 
 # --- the column and slope loops ---------------------------------------------------

@@ -880,6 +880,16 @@ def test_manifest_timestamp_is_utc_to_the_second(models, tmp_path, capsys):
     assert before <= datetime.fromisoformat(stamp) <= after
 
 
+def test_manifest_timestamp_reads_the_clock_of_time_time(models, tmp_path, monkeypatch):
+    # time.gmtime() alone reads a coarser clock, which can still be a second behind this one
+    monkeypatch.setattr("wnocpower.cli.time.time", lambda: 1700000000.9995)
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", *model_flags(models), "--freqs", "30,60", "--p-mixer-out", "-5",
+                 "--out", str(out)]) == EXIT_OK
+    stamp = json.loads(Path(f"{out}.manifest.json").read_text())["timestamp"]
+    assert stamp == "2023-11-14T22:13:20+00:00"
+
+
 def test_sweep_failure_after_the_first_chunk_keeps_the_previous_result(tmp_path, capsys):
     # Oscillator efficiency 0.01 * exp(0.04 f) passes 1 at ~115.1 GHz: point ~1720 of 3000.
     flags = ["--osc-model", _model_file(tmp_path, BlockKind.OSCILLATOR, 0.01, 0.04),
