@@ -23,9 +23,9 @@ only. The column loop (dense-sweep benchmark) and the per-probe loop
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Sequence
 from functools import partial
 from math import exp, inf, log
-from typing import Sequence
 
 from .regression import ExpFitModel, _fom
 from .survey import _METRIC_RANGE, BlockKind, _check_metric

@@ -20,9 +20,9 @@ fault for the same inputs.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import compress, pairwise, product, repeat
 from math import inf, isfinite, nan, nextafter
-from typing import Iterable, Iterator, Sequence
 
 from .blocks import (MixerModel, OscModel, PaModel, _admissible, _dcs, _mixer_numerator,
                      _pa_numerator, _slope, _term, mixer_dc_power, osc_dc_power, pa_dc_power)

@@ -21,10 +21,10 @@ import json
 import re
 import sys
 import time
+from collections.abc import Sequence
 from functools import partial
 from itertools import islice
 from pathlib import Path
-from typing import Sequence
 
 from . import __version__
 from .blocks import MixerModel, OscModel, PaModel

@@ -13,8 +13,8 @@ ends it after that check. Past them a draw or scenario check that raises
 from __future__ import annotations
 
 from collections import namedtuple
+from collections.abc import Iterator
 from pathlib import Path
-from typing import Iterator
 
 from .blocks import MixerModel, OscModel, PaModel, osc_dc_power
 from .chain import ChainConfig, chain_breakdown

@@ -5,8 +5,8 @@ from __future__ import annotations
 
 import os
 import stat
+from collections.abc import Iterable
 from pathlib import Path
-from typing import Iterable
 
 # CPython's built-in SHA-256, not hashlib's: importing hashlib loads OpenSSL (libcrypto),
 # ~3.5 MiB of a cold process's peak memory and a few ms, to hash ~100 KB. hashlib only

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import math
-from typing import Sequence
+from collections.abc import Sequence
 
 from .fileio import write_text_atomic
 from .survey import BlockKind, FrontierStrategy, SurveyDataset, best_in_class, load_survey_csv

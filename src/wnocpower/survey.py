@@ -26,7 +26,7 @@ import csv
 import enum
 import io
 import math
-from typing import IO, Iterator, Union
+from collections.abc import Iterator
 
 from .fileio import sha256_hex
 from .units import FrequencyGhz, _record, _Slotted
@@ -181,7 +181,7 @@ class BinnedMax(_record("BinnedMax", "bins")):
         return tuple(records[i] for i in sorted(best.values()))
 
 
-FrontierStrategy = Union[ParetoUpper, BinnedMax]
+FrontierStrategy = ParetoUpper | BinnedMax
 
 
 def best_in_class(data: SurveyDataset, strategy: FrontierStrategy | None = None) -> SurveyDataset:
@@ -193,8 +193,11 @@ def best_in_class(data: SurveyDataset, strategy: FrontierStrategy | None = None)
     """
     if len(data) == 0:
         raise ValueError("cannot extract a frontier from an empty dataset")
-    keep = (ParetoUpper() if strategy is None else strategy)._keep
-    return SurveyDataset(data.kind, keep(data.records))
+    if strategy is None:
+        strategy = ParetoUpper()
+    elif not isinstance(strategy, FrontierStrategy):
+        raise ValueError(f"strategy must be a ParetoUpper or BinnedMax (got {strategy!r})")
+    return SurveyDataset(data.kind, strategy._keep(data.records))
 
 
 # --- CSV parsing and serialization ---------------------------------------
@@ -203,7 +206,7 @@ _REQUIRED_COLUMNS = ("block", "frequency_ghz", "metric", "label")
 _OPTIONAL_COLUMNS = ("technology_node", "notes")
 
 
-def parse_survey_csv(source: Union[str, bytes, IO[str], IO[bytes]]) -> SurveyDataset:
+def parse_survey_csv(source: str | bytes | io.IOBase) -> SurveyDataset:
     """Parse a survey CSV into a validated dataset.
 
     ``source`` may be text, UTF-8 bytes, or an open file in either mode, with or

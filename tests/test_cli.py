@@ -431,13 +431,14 @@ def test_cli_import_does_not_load_numpy(tmp_path):
                  "--osc-model", str(tmp_path / "OSC.json"),
                  "--mixer-model", str(tmp_path / "MIXER.json"), "--freq", "60",
                  "--p-mixer-out", "-10", "--p-pa-out", "0", "--out-csv", str(tmp_path / "bd.csv")]
-    # only what the import, then the commands, add counts: a site hook may load any module
-    # before them
+    # only what the import, then the commands, add counts; -S keeps any site hook from loading
+    # modules first, so the check is the same on every host, and -W error fails on any warning
     code = ("import json, sys; before = set(sys.modules); import wnocpower.cli; "
             "imported = set(sys.modules) - before; "
             "codes = [wnocpower.cli.main(argv) for argv in json.loads(sys.argv[1])]; "
             "print(json.dumps([codes, sorted(imported), sorted(set(sys.modules) - before)]))")
-    proc = subprocess.run([sys.executable, "-c", code, json.dumps([*fits, breakdown])],
+    proc = subprocess.run([sys.executable, "-S", "-W", "error", "-c", code,
+                           json.dumps([*fits, breakdown])],
                           env={**os.environ, "PYTHONPATH": src},
                           capture_output=True, text=True, timeout=60, check=True)
     codes, added, run = json.loads(proc.stdout.splitlines()[-1])
@@ -453,6 +454,7 @@ def test_cli_import_does_not_load_numpy(tmp_path):
         "MIXER.json.manifest.json", "OSC.json.manifest.json", "PA.json.manifest.json",
         "bd.csv.manifest.json"]
     assert not set(run) & {"hashlib", "_hashlib"}
+    assert "typing" not in run  # annotations come from builtins and collections.abc
 
 
 def test_no_wnocpower_class_is_a_dataclass():

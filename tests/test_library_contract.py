@@ -4,10 +4,10 @@ Whatever it is given, each public entry point below returns or raises a
 ``ValueError`` subclass, never another exception: the survey reader on
 text and bytes (byte-order marks, CR, NUL and stray quotes included),
 the model reader on any JSON value, the exponential fit on any finite
-positive points, the binned-max strategy on any bin count, the unit
-types on any int or float, and the chain (breakdown, sweep with its
-dominance report, recommendation with any integer grid size) on any
-valid fits and levels. The recommendation's slope search, which checks no
+positive points, the binned-max strategy on any bin count, the frontier
+on any strategy, the unit types on any int or float, and the chain
+(breakdown, sweep with its dominance report, recommendation with any
+integer grid size) on any valid fits and levels. The recommendation's slope search, which checks no
 figure of merit itself, probes only points where every one is physical.
 """
 
@@ -23,7 +23,7 @@ from wnocpower.chain import (ChainConfig, _admissible_interval, _terms, chain_br
 from wnocpower.exampledata import fit_bundle
 from wnocpower.regression import (ExpFitModel, _fom, fit_exponential, model_from_dict,
                                   model_to_dict)
-from wnocpower.survey import BinnedMax, parse_survey_csv
+from wnocpower.survey import BinnedMax, ParetoUpper, best_in_class, parse_survey_csv
 from wnocpower.units import FrequencyGhz, PowerDbm, PowerMilliwatt
 
 HEADER = "block,frequency_ghz,metric,label,technology_node,notes"
@@ -82,6 +82,18 @@ def test_fit_exponential_keeps_the_contract(points):
 @given(bins=json_values | st.integers(-2, 2**54) | st.sampled_from([math.inf, 2**53, 2**53 + 1]))
 def test_binned_max_keeps_the_contract(bins):
     keeps_the_contract(BinnedMax, bins)
+
+
+_SURVEY = parse_survey_csv("block,frequency_ghz,metric,label\nPA,60,22.5,a\nPA,94,18,b\n"
+                           "PA,140,12,c\nPA,94,9,d\n")
+
+
+# The CLI's tag strings included: a library caller may pass one for the strategy object.
+@settings(max_examples=300, deadline=None)
+@given(strategy=json_values | st.sampled_from(["pareto-upper", "binned-max"])
+       | st.builds(ParetoUpper) | st.builds(BinnedMax, st.integers(1, 8)))
+def test_best_in_class_keeps_the_contract(strategy):
+    keeps_the_contract(best_in_class, _SURVEY, strategy)
 
 
 # Ints past the float range included, which math.isfinite cannot convert.
