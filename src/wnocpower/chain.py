@@ -257,10 +257,11 @@ def recommend_frequency(
     terms = _terms(pa, osc, mix, base_cfg)
     f_lo, f_hi = _admissible_interval(terms, lo.value, hi.value, allow_extrapolation)
     if f_lo > f_hi:
+        cause = _empty_cause(terms, lo.value, hi.value, allow_extrapolation)
         raise NoAdmissiblePointError(f"no frequency in [{lo.value}, {hi.value}] GHz " + (
-            "has every figure of merit physical" if allow_extrapolation else
-            "is inside all model validity ranges with every figure of merit physical; "
-            "pass allow_extrapolation to search anyway"))
+            f"has every figure of merit physical: {cause}" if allow_extrapolation else
+            "is inside all model validity ranges with every figure of merit physical: "
+            f"{cause}; pass allow_extrapolation to search anyway"))
     f_best = FrequencyGhz(_argmin(terms, f_lo, f_hi))
     return f_best, chain_breakdown(pa, osc, mix, ChainConfig(f_best, *base_cfg[1:]))
 
@@ -270,6 +271,25 @@ def _admissible_interval(terms: tuple, lo: float, hi: float, allow_extrapolation
     for term in terms:
         lo, hi = _admissible(term, lo, hi, allow_extrapolation)
     return lo, hi
+
+
+def _empty_cause(terms: tuple, lo: float, hi: float, allow_extrapolation: bool) -> str:
+    """Why ``_admissible_interval`` is empty: the first term that empties [lo, hi], by its
+    fitted span (below or above an earlier span, or else what is left) or its figure of merit."""
+    spans, left = [], "it"  # the range, until a term has narrowed it
+    for term in terms:
+        a, b = term.fit.valid_lo.value, term.fit.valid_hi.value
+        span = f"the {term.kind.token} model's fitted span [{a}, {b}] GHz"
+        if not allow_extrapolation:
+            if b < lo or hi < a:  # [lo, hi] lies inside every earlier span
+                apart = next((s for x, y, s in spans if b < x or y < a), left)
+                return f"{span} lies {'below' if b < lo else 'above'} {apart}"
+            spans.append((a, b, span))
+            lo, hi = max(lo, a), min(hi, b)
+        if (cut := _admissible(term, lo, hi, True))[0] > cut[1]:
+            return (f"the {term.kind.token} model's figure of merit is unphysical everywhere in "
+                    f"[{lo}, {hi}] GHz")
+        (lo, hi), left = cut, f"[{cut[0]}, {cut[1]}] GHz"
 
 
 def _argmin(terms: tuple, lo: float, hi: float) -> float:
@@ -338,10 +358,11 @@ def breakdowns_to_csv(breakdowns: SweepResult | Sequence[PowerBreakdown]) -> str
     Numbers are written by ``repr``, the shortest form that reads back to
     the same float. No field ever needs quoting: every field is a number
     or an extrapolated-blocks cell, block tokens joined by ";", which
-    holds no comma, quote or line break."""
+    holds no comma, quote or line break. The header and the rows are joined once, so no
+    second copy of the text is made."""
     rows = breakdowns.rows if isinstance(breakdowns, SweepResult) else [bd.row for bd in breakdowns]
-    return _CSV_HEADER + "".join([f"{f!r},{p!r},{o!r},{m!r},{t!r},{pf!r},{of!r},{mf!r},{cell}\n"
-                                  for f, p, o, m, t, pf, of, mf, cell in rows])
+    return "".join([_CSV_HEADER, *(f"{f!r},{p!r},{o!r},{m!r},{t!r},{pf!r},{of!r},{mf!r},{cell}\n"
+                                   for f, p, o, m, t, pf, of, mf, cell in rows)])
 
 
 def breakdown_to_dict(bd: PowerBreakdown) -> dict:

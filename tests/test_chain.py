@@ -423,7 +423,34 @@ def test_recommend_pins_its_refusal_message(bundle_models):
                             FrequencyGhz(150.0), FrequencyGhz(200.0))
     assert str(info.value) == (
         "no frequency in [150.0, 200.0] GHz is inside all model validity ranges with every "
-        "figure of merit physical; pass allow_extrapolation to search anyway")
+        "figure of merit physical: the MIXER model's fitted span [0.9, 140.0] GHz lies below it; "
+        "pass allow_extrapolation to search anyway")
+
+
+@pytest.mark.parametrize("pae, eff, fom, lo, hi, allow, cause", [
+    # the oscillator's span misses the part of the range that the mixer's span left
+    (fit(50.0), fit(0.5, lo=150.0, hi=300.0), fit(0.1, hi=100.0), 50.0, 200.0, False,
+     "the OSC model's fitted span [150.0, 300.0] GHz lies above the MIXER model's fitted "
+     "span [1.0, 100.0] GHz"),
+    # a PAE of 200 % is above 100 % everywhere, with or without the spans
+    (fit(200.0), fit(0.5), fit(0.1), 20.0, 60.0, False,
+     "the PA model's figure of merit is unphysical everywhere in [20.0, 60.0] GHz"),
+    (fit(200.0), fit(0.5), fit(0.1), 20.0, 60.0, True,
+     "the PA model's figure of merit is unphysical everywhere in [20.0, 60.0] GHz"),
+    # the efficiency 0.5 * exp(0.05 f) passes 1 at ln(2) / 0.05 = 13.86... GHz (the last
+    # digits are the bisection's): below the mixer's span, and below the PA's
+    (fit(50.0), fit(0.5, 0.05), fit(0.1, lo=20.0, hi=100.0), 10.0, 200.0, False,
+     "the OSC model's figure of merit is unphysical everywhere in [20.0, 100.0] GHz"),
+    (fit(50.0, lo=50.0, hi=300.0), fit(0.5, 0.05), fit(0.1), 1.0, 200.0, False,
+     "the PA model's fitted span [50.0, 300.0] GHz lies above [1.0, 13.8629436111989"),
+])
+def test_refusal_names_the_term_that_empties_the_range(pae, eff, fom, lo, hi, allow, cause):
+    with pytest.raises(NoAdmissiblePointError) as info:
+        recommend_frequency(PaModel(pae), OscModel(eff), MixerModel(fom), cfg(pa_out=0.0),
+                            FrequencyGhz(lo), FrequencyGhz(hi), allow_extrapolation=allow)
+    head = ("has" if allow else "is inside all model validity ranges with") + (
+        " every figure of merit physical")
+    assert str(info.value).startswith(f"no frequency in [{lo}, {hi}] GHz {head}: {cause}")
 
 
 # --- dominance ----------------------------------------------------------------

@@ -842,7 +842,8 @@ def test_sweep_across_chunk_boundaries_matches_library_csv(models, tmp_path, cap
 
 @pytest.mark.parametrize("name", ["pa_two_levels", "no_pa_three_levels"])
 def test_multi_chunk_sweeps_write_their_recorded_bytes(tmp_path, capsys, name):
-    # Both grids cross the mixer's 140 GHz span end and take three chunks per level.
+    # Both grids cross the mixer's 140 GHz span end. At 128 points a chunk, pa_two_levels takes
+    # 20 chunks per level and no_pa_three_levels 17.
     digests = {csv_name: digest for digest, csv_name in
                (line.split() for line in (SWEEP_DIGESTS / "SHA256SUMS").read_text().splitlines())}
     argv = (SWEEP_DIGESTS / f"{name}.argv").read_text().split()
@@ -869,6 +870,34 @@ def test_cli_sweep_builds_no_breakdown_per_row(models, tmp_path, capsys, monkeyp
                  "--p-pa-out", "3", "--out", str(out)]) == EXIT_OK
     assert "wrote 4098 rows" in capsys.readouterr().out
     assert built == []
+
+
+def test_cli_sweep_memory_is_flat_in_the_row_count(models, tmp_path, capsys):
+    # Nothing of a chunk outlives its write, so 16 chunks per level peak where two points do.
+    import gc
+    import tracemalloc
+
+    import wnocpower.cli as cli
+
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing; its peak would not be this test's")
+
+    def peak(n):
+        argv = ["sweep", *model_flags(models), "--range", f"20:250:{n}", "--levels", "-10,-5",
+                "--p-pa-out", "3", "--out", str(tmp_path / "sweep.csv")]
+        gc.collect()  # the argparse cycles of the call before
+        tracemalloc.reset_peak()
+        assert main(argv) == EXIT_OK
+        return tracemalloc.get_traced_memory()[1]
+
+    tracemalloc.start()
+    try:
+        peak(2)  # a first call fills the caches of argparse, re and the imports
+        small, large = peak(2), peak(16 * cli._SWEEP_CHUNK)
+    finally:
+        tracemalloc.stop()
+    assert f"wrote {32 * cli._SWEEP_CHUNK} rows" in capsys.readouterr().out
+    assert large - small <= 128 * 1024, (small, large)
 
 
 def test_manifest_timestamp_is_utc_to_the_second(models, tmp_path, capsys):
