@@ -28,7 +28,7 @@ import io
 import math
 from collections.abc import Iterator
 
-from .fileio import sha256_hex
+from .fileio import _sha256
 from .units import FrequencyGhz, _record, _Slotted
 
 
@@ -138,14 +138,18 @@ class ParetoUpper(_record("ParetoUpper", "")):
 
     def _keep(self, records: tuple[SurveyRecord, ...]) -> tuple[SurveyRecord, ...]:
         # High to low frequency, and at one frequency best metric then input order
-        # first: a record is kept iff it beats every metric seen before it.
+        # first: a record is kept iff it beats every metric seen before it. Two stable
+        # index sorts give that order without a key tuple per record.
+        freqs = [rec.frequency.value for rec in records]
+        metrics = [rec.metric for rec in records]
+        order = sorted(range(len(records)), key=metrics.__getitem__, reverse=True)
+        order.sort(key=freqs.__getitem__, reverse=True)
         keep: list[int] = []
         best = -math.inf
-        for _, neg_metric, i in sorted((-rec.frequency.value, -rec.metric, i)
-                                       for i, rec in enumerate(records)):
-            if -neg_metric > best:
+        for i in order:
+            if metrics[i] > best:
                 keep.append(i)
-                best = -neg_metric
+                best = metrics[i]
         return tuple(records[i] for i in sorted(keep))
 
 
@@ -216,13 +220,7 @@ def parse_survey_csv(source: str | bytes | io.IOBase) -> SurveyDataset:
     """
     if hasattr(source, "read"):
         source = source.read()  # type: ignore[union-attr]
-    if isinstance(source, bytes):
-        try:
-            source = source.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise SurveyFormatError(f"survey CSV is not valid UTF-8: {exc}") from None
-
-    reader = csv.reader(io.StringIO(source.removeprefix("\ufeff"), newline=""), strict=True)
+    reader = csv.reader(_lines(source), strict=True)
     rows = _records(reader)
     line, header = next(rows, (0, []))
     if not header:
@@ -243,15 +241,18 @@ def parse_survey_csv(source: str | bytes | io.IOBase) -> SurveyDataset:
     tech, notes = (header.index(c) if c in extras else None for c in _OPTIONAL_COLUMNS)
     records: list[SurveyRecord] = []
     seen: set[tuple[float, float, str]] = set()
+    shared: dict[str, str] = {}  # one string per distinct technology_node or notes value
     for line, row in rows:
         try:
             if len(row) != len(header):
                 raise ValueError(f"expected {len(header)} fields, got {len(row)}")
+            node = None if tech is None else row[tech].strip() or None
+            note = None if notes is None else row[notes].strip() or None
             record = SurveyRecord(BlockKind.from_token(row[0]),
                                   FrequencyGhz(_parse_number(row[1], "frequency_ghz")),
                                   _parse_number(row[2], "metric"), row[3].strip(),
-                                  None if tech is None else row[tech].strip() or None,
-                                  None if notes is None else row[notes].strip() or None)
+                                  node and shared.setdefault(node, node),
+                                  note and shared.setdefault(note, note))
             _admit((records[0] if records else record).block, record, seen)
         except ValueError as exc:
             raise SurveyFormatError(f"row {line}: {exc}") from None
@@ -265,12 +266,27 @@ def parse_survey_csv(source: str | bytes | io.IOBase) -> SurveyDataset:
     return data
 
 
+def _lines(source: str | bytes) -> io.TextIOWrapper:
+    """The lines of ``source`` as ``io.StringIO(text, newline="")`` would yield them, after one
+    leading byte-order mark, read from the UTF-8 bytes a chunk at a time: ``StringIO`` would
+    hold the whole text at four bytes a character. Bytes are checked to be UTF-8 first."""
+    if isinstance(source, bytes):
+        try:
+            source.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SurveyFormatError(f"survey CSV is not valid UTF-8: {exc}") from None
+    else:
+        source = source.encode("utf-8", "surrogatepass")  # a str may hold lone surrogates
+    return io.TextIOWrapper(io.BytesIO(source), encoding="utf-8-sig", errors="surrogatepass",
+                            newline="")
+
+
 def _records(reader) -> Iterator[tuple[int, list[str]]]:
     """(line, row) of each record not blank or a comment; malformed CSV names its first row."""
     start = 1
     try:
         for row in reader:
-            if any(c.strip() for c in row) and not row[0].lstrip().startswith("#"):
+            if any(map(str.strip, row)) and not row[0].lstrip().startswith("#"):
                 yield reader.line_num, row
             start = reader.line_num + 1
     except csv.Error as exc:
@@ -293,21 +309,33 @@ def load_survey_csv(path) -> SurveyDataset:
 def serialize_survey_csv(data: SurveyDataset) -> str:
     """Canonical CSV form of a dataset: full 6-column header, shortest
     round-trip float formatting. parse(serialize(d)) == d."""
+    return "".join(_canonical_chunks(data))
+
+
+# Rows per chunk of the canonical CSV: the digest hashes ~10 KB at a time, not the whole text.
+_CANONICAL_CHUNK = 256
+
+
+def _canonical_chunks(data: SurveyDataset) -> Iterator[str]:
+    """The canonical CSV of ``data`` as consecutive texts: the header, then rows
+    ``_CANONICAL_CHUNK`` at a time."""
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(list(_REQUIRED_COLUMNS) + list(_OPTIONAL_COLUMNS))
-    for rec in data.records:
-        writer.writerow([
-            rec.block.token,
-            repr(rec.frequency.value),
-            repr(rec.metric),
-            rec.label,
-            rec.technology_node or "",
-            rec.notes or "",
-        ])
-    return out.getvalue()
+    writer.writerow(_REQUIRED_COLUMNS + _OPTIONAL_COLUMNS)
+    token, records = data.kind.token, data.records  # every record is of the dataset's kind
+    for start in range(0, len(records), _CANONICAL_CHUNK):
+        yield out.getvalue()
+        out.seek(0)
+        out.truncate()
+        chunk = records[start:start + _CANONICAL_CHUNK]
+        writer.writerows((token, repr(f.value), repr(metric), label, node or "", notes or "")
+                         for _, f, metric, label, node, notes in chunk)
+    yield out.getvalue()
 
 
 def dataset_digest(data: SurveyDataset) -> str:
     """SHA-256 of the canonical CSV form; ties fitted models to their data."""
-    return sha256_hex(serialize_survey_csv(data).encode("utf-8"))
+    digest = _sha256()
+    for text in _canonical_chunks(data):
+        digest.update(text.encode("utf-8"))
+    return digest.hexdigest()

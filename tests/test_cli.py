@@ -1,5 +1,7 @@
 import hashlib
 import json
+import math
+import random
 import re
 from datetime import datetime, timezone
 from pathlib import Path
@@ -874,7 +876,6 @@ def test_cli_sweep_builds_no_breakdown_per_row(models, tmp_path, capsys, monkeyp
 
 def test_cli_sweep_memory_is_flat_in_the_row_count(models, tmp_path, capsys):
     # Nothing of a chunk outlives its write, so 16 chunks per level peak where two points do.
-    import gc
     import tracemalloc
 
     import wnocpower.cli as cli
@@ -885,7 +886,6 @@ def test_cli_sweep_memory_is_flat_in_the_row_count(models, tmp_path, capsys):
     def peak(n):
         argv = ["sweep", *model_flags(models), "--range", f"20:250:{n}", "--levels", "-10,-5",
                 "--p-pa-out", "3", "--out", str(tmp_path / "sweep.csv")]
-        gc.collect()  # the argparse cycles of the call before
         tracemalloc.reset_peak()
         assert main(argv) == EXIT_OK
         return tracemalloc.get_traced_memory()[1]
@@ -898,6 +898,80 @@ def test_cli_sweep_memory_is_flat_in_the_row_count(models, tmp_path, capsys):
         tracemalloc.stop()
     assert f"wrote {32 * cli._SWEEP_CHUNK} rows" in capsys.readouterr().out
     assert large - small <= 128 * 1024, (small, large)
+
+
+def test_in_process_calls_leave_no_cyclic_garbage(models, capsys):
+    # Ten calls hold what one holds: the parser is built once per process, not once a call.
+    import gc
+    import tracemalloc
+
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing; its figures would not be this test's")
+    argv = ["breakdown", *model_flags(models), "--freq", "60", "--p-mixer-out", "-5"]
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()  # a collection during the calls would hide the cycles they leave
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK  # a first call fills the caches of argparse, re and the imports
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == EXIT_OK
+        one = tracemalloc.get_traced_memory()[0] - base
+        for _ in range(9):
+            assert main(argv) == EXIT_OK
+        ten = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+        if enabled:
+            gc.enable()
+    assert capsys.readouterr().out.count("TX chain DC power at 60 GHz") == 11
+    assert ten - one <= 16 * 1024, (one, ten)
+
+
+def _pa_survey(n: int) -> str:
+    """A seeded PA survey of ``n`` rows on a 0.5 GHz grid, five technology nodes, no notes."""
+    rng = random.Random(7)
+    nodes = ("28nm CMOS", "40nm CMOS", "65nm CMOS", "22nm FD-SOI", "130nm SiGe")
+    lines = ["block,frequency_ghz,metric,label,technology_node,notes"]
+    for i in range(n):
+        f = rng.randrange(20, 600) / 2
+        metric = float(f"{45.0 * math.exp(-0.008 * f) * rng.uniform(0.5, 1.3):.6g}")
+        lines.append(f"PA,{f!r},{metric!r},paper-{i:05d},{rng.choice(nodes)},")
+    return "\n".join(lines) + "\n"
+
+
+def test_cli_fit_memory_peaks_at_the_records_it_keeps(tmp_path, capsys):
+    # The parse decodes the file's bytes a chunk at a time and the digest hashes its canonical
+    # text a chunk at a time, so a fit peaks at its dataset plus the duplicate-key set, the
+    # file's bytes and a fixed margin.
+    import gc
+    import tracemalloc
+
+    from wnocpower.survey import load_survey_csv
+
+    if tracemalloc.is_tracing():
+        pytest.skip("tracemalloc is already tracing; its peak would not be this test's")
+    survey = tmp_path / "survey.csv"
+    survey.write_text(_pa_survey(2500))
+    argv = ["fit", str(survey), "--block", "PA", "--out", str(tmp_path / "pa.json")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK  # a first call fills the caches of argparse, re and the imports
+        gc.collect()
+        base = tracemalloc.get_traced_memory()[0]
+        data = load_survey_csv(survey)
+        held = tracemalloc.get_traced_memory()[0] - base
+        del data
+        gc.collect()
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert "points fitted" in capsys.readouterr().out
+    # Measured under CPython 3.11: +303 KiB, and +713 KiB when the parse held the text whole.
+    assert peak <= held + 384 * 1024, (held, peak)
 
 
 def test_manifest_timestamp_is_utc_to_the_second(models, tmp_path, capsys):

@@ -1,9 +1,14 @@
+import csv
+import io
 import math
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import wnocpower.survey as survey
+from wnocpower.fileio import sha256_hex
 from wnocpower.survey import (
     BinnedMax,
     BlockKind,
@@ -216,6 +221,102 @@ def test_parse_names_the_row_of_a_bad_cr_only_line():
     text = "block,frequency_ghz,metric,label\rPA,60.0,22.5,a\rPA,61,x,b\r"
     with pytest.raises(SurveyFormatError, match=r"^row 3: metric is not a number"):
         parse_survey_csv(text)
+
+
+# Line breaks to csv and StringIO(newline=""), and the characters where str.splitlines also
+# breaks a line: the survey reader must break lines where the first do and nowhere else.
+LINE_ENDS = ["\n", "\r", "\r\n"]
+CELL_CHARS = [*LINE_ENDS, "\x0c", "\x85", "\u2028", '"', ",", " ", "#", "a", "\u00e9"]
+
+
+@st.composite
+def tricky_survey_sources(draw):
+    """Survey text whose cells mix line breaks, bare or quoted, as str or UTF-8 bytes."""
+    def cell(prefix=""):
+        text = prefix + "".join(draw(st.lists(st.sampled_from(CELL_CHARS), max_size=5)))
+        return '"' + text.replace('"', '""') + '"' if draw(st.booleans()) else text
+
+    lines = ["block,frequency_ghz,metric,label,technology_node,notes"]
+    for i in range(draw(st.integers(min_value=0, max_value=6))):
+        f = draw(st.sampled_from(["20", "20.0", "35", "x"]))
+        metric = draw(st.sampled_from(["5", "7.5"]))
+        lines.append(",".join(["PA", f, metric, cell(f"l{i}"), cell(), cell()]))
+    text = draw(st.sampled_from(["", "\ufeff"])) + "".join(
+        line + draw(st.sampled_from(LINE_ENDS)) for line in lines)
+    return text.encode("utf-8") if draw(st.booleans()) else text
+
+
+def parse_outcome(source):
+    try:
+        return parse_survey_csv(source)
+    except SurveyFormatError as exc:
+        return str(exc)
+
+
+def stringio_lines(source):
+    """The reference line source: the whole text in one ``io.StringIO(newline="")``."""
+    text = source.decode("utf-8") if isinstance(source, bytes) else source
+    return io.StringIO(text.removeprefix("\ufeff"), newline="")
+
+
+@settings(max_examples=300, deadline=None)
+@given(tricky_survey_sources())
+def test_parse_breaks_lines_where_stringio_does(source):
+    with mock.patch.object(survey, "_lines", stringio_lines):
+        expected = parse_outcome(source)
+    assert parse_outcome(source) == expected
+
+
+@pytest.mark.parametrize("end", LINE_ENDS + ["\r\r\n"], ids=["LF", "CR", "CRLF", "CR-CRLF"])
+def test_parse_breaks_lines_across_the_read_chunks(end):
+    # The reader decodes the bytes 8 KiB at a time: put a multi-byte character and the line
+    # end after it on every offset around the end of the first chunk.
+    for n in range(8180, 8200):
+        text = "\ufeff#" + "x" * n + "\u20ac" + end + "\x85" + end
+        for source in (text, text.encode("utf-8")):
+            assert list(survey._lines(source)) == list(stringio_lines(source)), n
+
+
+def test_parse_keeps_a_lone_surrogate_in_str_text():
+    ds = parse_survey_csv(HEADER + "PA,60.0,22.5,a\udc80\n")
+    assert ds.records[0].label == "a\udc80"
+
+
+def canonical_csv(data):
+    """The canonical CSV as one ``csv.writer`` over one ``io.StringIO`` writes it."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["block", "frequency_ghz", "metric", "label", "technology_node", "notes"])
+    for r in data.records:
+        writer.writerow([r.block.token, repr(r.frequency.value), repr(r.metric), r.label,
+                         r.technology_node or "", r.notes or ""])
+    return out.getvalue()
+
+
+@st.composite
+def canonical_datasets(draw):
+    """PA datasets of up to two chunks of the canonical CSV and one row, cells with line breaks."""
+    text = st.lists(st.sampled_from(CELL_CHARS), min_size=1, max_size=4).map("".join)
+    cells = draw(st.lists(st.tuples(text, st.none() | text, st.none() | text),
+                          min_size=1, max_size=4))
+    n = draw(st.sampled_from([0, 1, survey._CANONICAL_CHUNK - 1, survey._CANONICAL_CHUNK,
+                              2 * survey._CANONICAL_CHUNK + 1]))
+    records = []
+    for i in range(n):
+        label, node, notes = cells[i % len(cells)]  # no digit in a cell: f"{label}{i}" is unique
+        records.append(SurveyRecord(BlockKind.PA,
+                                    FrequencyGhz(draw(st.floats(min_value=1e-3, max_value=1e4))),
+                                    draw(st.floats(min_value=1e-300, max_value=100.0)),
+                                    f"{label}{i}", node, notes))
+    return SurveyDataset(BlockKind.PA, tuple(records))
+
+
+@settings(max_examples=60, deadline=None)
+@given(canonical_datasets())
+def test_streamed_digest_hashes_the_canonical_csv(data):
+    text = serialize_survey_csv(data)
+    assert text == canonical_csv(data)
+    assert dataset_digest(data) == sha256_hex(text.encode("utf-8"))
 
 
 def test_serialize_parse_identity_with_quotes_and_line_breaks():
